@@ -7,11 +7,11 @@
  * streaming paths and the adaptive coarse-to-fine engine, emitting
  * results/BENCH_dse.json, and a GEMM-mode
  * section (--gemm / --gemm-only) comparing TILE_SIM sweep evaluation
- * under the aggregated fast path vs the legacy per-tile wave walk,
+ * under the aggregated fast path vs the per-tile wave walk reference,
  * emitting results/BENCH_gemm.json, a cycle-level section
  * (--cycle / --cycle-only) comparing the event-coalesced CYCLE_SIM
- * engine (with tile-class replay) against the naive per-cycle
- * LEGACY_TICK reference and timing a GemmCache-warm fig06-scale
+ * engine (with tile-class replay) against the naive per-cycle tick
+ * reference and timing a GemmCache-warm fig06-scale
  * cycle-mode sweep, emitting results/BENCH_cycle.json, and a
  * serving-simulator section
  * (--sim / --sim-only) replaying a trace-scale diurnal request stream
@@ -135,12 +135,14 @@ legacyEagerValidate(const hw::HardwareConfig &cfg)
 }
 
 /**
- * Faithful reconstruction of the pre-optimization evaluate(): layer
- * graphs rebuilt for every design, op-shape memoization off, the
- * performance density recomputed from a second full area breakdown,
- * eager validation-message formatting at every model construction,
- * and VectorModel's former throwaway inner MatmulModel (it built one
- * just to read the global-buffer bandwidth).
+ * Reconstruction of the pre-optimization evaluate(): layer graphs
+ * rebuilt for every design, the performance density recomputed from a
+ * second full area breakdown, eager validation-message formatting at
+ * every model construction, and VectorModel's former throwaway inner
+ * MatmulModel (it built one just to read the global-buffer
+ * bandwidth). The seed also ran without the op-shape memo; the memo is
+ * no longer optional, so this baseline runs with it and understates
+ * the seed's cost.
  */
 dse::EvaluatedDesign
 legacyEvaluate(const hw::HardwareConfig &cfg, const core::Workload &w,
@@ -179,8 +181,7 @@ std::vector<dse::EvaluatedDesign>
 legacyEvaluateAllParallel(const std::vector<hw::HardwareConfig> &cfgs,
                           const core::Workload &w, unsigned threads)
 {
-    perf::PerfParams params;
-    params.memoizeOps = false;
+    const perf::PerfParams params;
     const area::AreaModel area_model;
     const area::CostModel cost_model;
     std::vector<dse::EvaluatedDesign> out(cfgs.size());
@@ -317,11 +318,16 @@ runDseThroughput(int reps)
 
 /**
  * Designs/second for full TILE_SIM-mode sweep evaluation on the
- * Fig. 6 space: the aggregated wave-class fast path vs the retained
- * legacy per-tile walk (plus the analytic mode for scale). All
- * TILE_SIM rows produce bit-identical results — the suites in
- * tests/test_gemm_property.cpp and tests/test_dse.cpp prove it — so
- * this measures pure implementation cost.
+ * Fig. 6 space: the aggregated wave-class fast path vs the per-tile
+ * walk reference (plus the analytic mode for scale). The walk row
+ * runs simulateGemmWalk over every distinct GEMM shape of each
+ * design's prefill and decode graphs — the GEMM work a TILE_SIM
+ * sweep does per design behind its op-shape memo — on the same pool
+ * and thread count; it skips the (cheap) vector, collective and area
+ * models, so its rate is an upper bound for a walk-backed sweep. The
+ * walk and the aggregated engine are bit-identical
+ * (tests/test_gemm_property.cpp), so the ratio is pure
+ * implementation cost.
  *
  * The cached row measures the steady state of a session-scoped
  * perf::GemmCache installed through PerfParams::gemmCache: the cache
@@ -349,8 +355,6 @@ runGemmThroughput(int reps)
     // would fold cross-design reuse into them and the cached row's
     // speedup would be measured against a partially cached baseline.
     fast_params.cacheTileSimGemms = false;
-    perf::PerfParams legacy_params = fast_params;
-    legacy_params.tileSimEngine = perf::TileSimEngine::LEGACY_WALK;
     perf::GemmCache session_cache;
     perf::PerfParams cached_params = fast_params;
     cached_params.gemmCache = &session_cache;
@@ -359,8 +363,6 @@ runGemmThroughput(int reps)
                                         workload.system, analytic_params);
     const dse::DesignEvaluator fast(workload.model, workload.setting,
                                     workload.system, fast_params);
-    const dse::DesignEvaluator legacy(workload.model, workload.setting,
-                                      workload.system, legacy_params);
     const dse::DesignEvaluator cached(workload.model, workload.setting,
                                       workload.system, cached_params);
 
@@ -368,8 +370,33 @@ runGemmThroughput(int reps)
               << cfgs.size() << " designs, " << THREADS
               << " threads, best of " << reps << ")\n";
 
+    // The distinct GEMM shapes of one design's run (op-shape memo
+    // semantics: one timing per shape across both phases).
+    std::vector<model::Op> gemms;
+    for (const model::LayerGraph *graph :
+         {&analytic.prefillGraph(), &analytic.decodeGraph()}) {
+        for (const model::Op &op : graph->ops) {
+            if (op.kind == model::OpKind::MATMUL &&
+                std::none_of(gemms.begin(), gemms.end(),
+                             [&](const model::Op &seen) {
+                                 return perf::sameOpShape(seen, op);
+                             }))
+                gemms.push_back(op);
+        }
+    }
     const double legacy_walk = bestThroughput(cfgs.size(), reps, [&] {
-        legacy.evaluateAllParallel(cfgs, THREADS);
+        std::atomic<std::size_t> next{0};
+        common::ThreadPool::shared().parallelFor(
+            THREADS,
+            [&](std::size_t) {
+                for (std::size_t i = next.fetch_add(1); i < cfgs.size();
+                     i = next.fetch_add(1)) {
+                    for (const model::Op &op : gemms)
+                        benchmark::DoNotOptimize(perf::simulateGemmWalk(
+                            cfgs[i], op, fast_params));
+                }
+            },
+            1);
     });
     const double aggregated = bestThroughput(cfgs.size(), reps, [&] {
         fast.evaluateAllParallel(cfgs, THREADS);
@@ -429,7 +456,8 @@ runGemmThroughput(int reps)
  * The two speed claims behind the cycle-level backend (docs/PERF.md):
  *
  *  1. Per-GEMM, the event-coalesced engine (with tile-class replay)
- *     must beat the naive per-cycle LEGACY_TICK reference by a wide
+ *     must beat the naive per-cycle tick reference
+ *     (simulateGemmCyclesTick) by a wide
  *     margin on representative llama-shaped GEMMs — the randomized
  *     property suite in tests/test_cycle_sim.cpp proves the two are
  *     bit-identical, so this measures pure implementation cost. The
@@ -472,8 +500,6 @@ runCycleThroughput(int reps)
 
     perf::PerfParams coalesced_params;
     coalesced_params.gemmMode = perf::GemmMode::CYCLE_SIM;
-    perf::PerfParams naive_params = coalesced_params;
-    naive_params.cycleEngine = perf::CycleEngine::LEGACY_TICK;
 
     std::cout << "\nCYCLE_SIM engine throughput (" << shapes.size()
               << " GEMM shapes, best of " << reps << ")\n";
@@ -481,7 +507,7 @@ runCycleThroughput(int reps)
     const double naive = bestThroughput(shapes.size(), reps, [&] {
         for (const model::Op &op : shapes)
             benchmark::DoNotOptimize(
-                perf::simulateGemmCycles(cfg, op, naive_params));
+                perf::simulateGemmCyclesTick(cfg, op, coalesced_params));
     });
     const double coalesced = bestThroughput(shapes.size(), reps, [&] {
         for (const model::Op &op : shapes)

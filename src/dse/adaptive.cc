@@ -142,11 +142,13 @@ AdaptiveSearch::searchFingerprint(const SweepSpace &space,
     h = fnvList(space.deviceBandwidths, h);
     h = fnvList(space.diesPerPackage, h);
     // Every perf constant that reaches a timing expression. The
-    // bit-identical speed switches (batchAnalyticEval,
-    // cacheTileSimGemms, the cache handle) are deliberately excluded:
-    // they change cost, never results.
+    // bit-identical cache switches (cacheTileSimGemms, the cache
+    // handle) are deliberately excluded: they change cost, never
+    // results. The two constants below stand where the retired
+    // tile-sim engine (0) and op-memo (true) switches were hashed, so
+    // existing checkpoints stay valid.
     h = fnvValue(static_cast<int>(params.gemmMode), h);
-    h = fnvValue(static_cast<int>(params.tileSimEngine), h);
+    h = fnvValue(0, h);
     h = fnvValue(params.modelMultiPassVector, h);
     h = fnvValue(params.memEfficiency, h);
     h = fnvValue(params.l2Efficiency, h);
@@ -159,7 +161,7 @@ AdaptiveSearch::searchFingerprint(const SweepSpace &space,
     h = fnvValue(params.modelPipelineFill, h);
     h = fnvValue(params.pipelineFillOverlap, h);
     h = fnvValue(params.modelTiling, h);
-    h = fnvValue(params.memoizeOps, h);
+    h = fnvValue(true, h);
     h = fnvValue(params.modelL2Blocking, h);
     // The workload and the trajectory-shaping adaptive knobs. Shard
     // assignment and checkpoint cadence are excluded on purpose:

@@ -147,7 +147,7 @@ DesignEvaluator::evaluateWith(const hw::HardwareConfig &cfg,
 
 /**
  * Per-worker chunk evaluation buffers: the materialized configs (name
- * buffers reused across chunks), the SoA view, the per-phase latency
+ * buffers reused across chunks), the batch view, the per-phase latency
  * accumulators, and the batch evaluator holding the op-shape memo.
  */
 struct DesignEvaluator::ChunkScratch
@@ -172,7 +172,7 @@ DesignEvaluator::evaluateChunk(const SweepPlan &plan, std::size_t base,
     const auto planIndex = [&](std::size_t j) {
         return indices ? indices[base + j] : base + j;
     };
-    if (perf::batchEvalEligible(params) && count >= 2) {
+    if (params.gemmMode == perf::GemmMode::ANALYTIC) {
         if (!scratch.batchEval) {
             scratch.batchEval =
                 std::make_unique<perf::BatchEvaluator>(params);
@@ -185,7 +185,7 @@ DesignEvaluator::evaluateChunk(const SweepPlan &plan, std::size_t base,
             plan.point(planIndex(j), &scratch.cfgs[j]);
             scratch.batch.push(scratch.cfgs[j]);
         }
-        // One SoA pass per op per phase; the memo spans both phases
+        // One batch pass per op per phase; the memo spans both phases
         // like the scalar per-run OpShapeMemo.
         scratch.prefillS.assign(count, 0.0);
         scratch.decodeS.assign(count, 0.0);
@@ -398,7 +398,7 @@ DesignEvaluator::evaluateStream(const SweepSpace &space,
             // Per-worker scratch buffers: in-place point() reuses
             // name buffers, keeping the per-design build off the
             // allocator (which serializes across workers). ANALYTIC
-            // chunks route through the SoA batch kernel inside
+            // chunks route through the batch kernel inside
             // evaluateChunk; results are bit-identical either way.
             ChunkScratch scratch;
             const ChunkSink sink = [&](const EvaluatedDesign &d,

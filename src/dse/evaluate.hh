@@ -205,9 +205,8 @@ class DesignEvaluator
      *
      * Shares the streaming pipeline's machinery: designs build via
      * plan.point into per-worker scratch, ANALYTIC-mode designs
-     * evaluate through the SoA batch kernel
-     * (PerfParams::batchAnalyticEval), simulated-GEMM designs get a
-     * call-scoped GemmCache hoist. Deterministic: out[pos] depends
+     * evaluate through the batch kernel (perf/batch_eval.hh),
+     * simulated-GEMM designs get a call-scoped GemmCache hoist. Deterministic: out[pos] depends
      * only on indices[pos], never on scheduling.
      *
      * @param plan      Compiled space (must outlive the call).
@@ -261,9 +260,9 @@ class DesignEvaluator
      * Evaluate one worker-claimed chunk: positions [base, base+count)
      * mapping to plan indices indices[pos] (or pos itself when
      * indices is null — the streaming pipeline's contiguous claim).
-     * Routes through the SoA batch kernel when the params allow
-     * (perf::batchEvalEligible), the scalar evaluateWith otherwise;
-     * both deliver identical designs to @p sink in position order.
+     * Routes ANALYTIC-mode chunks through the batch kernel and
+     * simulated-GEMM chunks through the scalar evaluateWith; both
+     * deliver identical designs to @p sink in position order.
      */
     void evaluateChunk(const SweepPlan &plan, std::size_t base,
                        std::size_t count, const std::size_t *indices,

@@ -65,6 +65,17 @@ HardwareConfig::l1BytesPerLane() const
     return l1BytesPerCore / lanesPerCore;
 }
 
+namespace {
+
+/** NaN-proof: `x <= 0.0` lets NaN through, `!(x > 0.0)` does not. */
+bool
+positiveFinite(double x)
+{
+    return x > 0.0 && std::isfinite(x);
+}
+
+} // anonymous namespace
+
 void
 HardwareConfig::validate() const
 {
@@ -80,22 +91,22 @@ HardwareConfig::validate() const
         fatal(name + ": systolic array dims must be >= 1");
     if (vectorWidth < 1)
         fatal(name + ": vectorWidth must be >= 1");
-    if (clockHz <= 0.0)
-        fatal(name + ": clockHz must be > 0");
+    if (!positiveFinite(clockHz))
+        fatal(name + ": clockHz must be finite and > 0");
     if (opBitwidth < 1)
         fatal(name + ": opBitwidth must be >= 1");
-    if (l1BytesPerCore <= 0.0)
-        fatal(name + ": L1 size must be > 0");
-    if (l2Bytes <= 0.0)
-        fatal(name + ": L2 size must be > 0");
-    if (memCapacityBytes <= 0.0)
-        fatal(name + ": HBM capacity must be > 0");
-    if (memBandwidth <= 0.0)
-        fatal(name + ": HBM bandwidth must be > 0");
+    if (!positiveFinite(l1BytesPerCore))
+        fatal(name + ": l1BytesPerCore must be finite and > 0");
+    if (!positiveFinite(l2Bytes))
+        fatal(name + ": l2Bytes must be finite and > 0");
+    if (!positiveFinite(memCapacityBytes))
+        fatal(name + ": memCapacityBytes must be finite and > 0");
+    if (!positiveFinite(memBandwidth))
+        fatal(name + ": memBandwidth must be finite and > 0");
     if (devicePhyCount < 0)
         fatal(name + ": PHY count must be >= 0");
-    if (perPhyBandwidth < 0.0)
-        fatal(name + ": PHY bandwidth must be >= 0");
+    if (!(perPhyBandwidth >= 0.0) || !std::isfinite(perPhyBandwidth))
+        fatal(name + ": perPhyBandwidth must be finite and >= 0");
     if (diesPerPackage < 1)
         fatal(name + ": diesPerPackage must be >= 1");
 }

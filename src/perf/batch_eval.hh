@@ -1,25 +1,24 @@
 /**
  * @file
- * SoA batch evaluation of the analytic performance model.
+ * Batch evaluation of the analytic performance model over a chunk of
+ * designs.
  *
  * The scalar path (InferenceSimulator -> MatmulModel/VectorModel/
- * CommModel) evaluates one design at a time: every op re-loads the
- * same shape constants and branches per design. At streaming-DSE
- * rates the model arithmetic itself becomes the hot path, and its
- * structure is embarrassingly data-parallel across designs — the op
- * shapes are shared by construction (one layer graph per sweep), only
- * the hardware parameters vary. This file restructures that hot path
- * into structure-of-arrays kernels: one call times one operator for N
- * designs with contiguous, branch-light, auto-vectorizable inner
- * loops.
+ * CommModel) evaluates one design at a time and pays per design for
+ * what a sweep shares: the layer graph, the op-shape memo and the
+ * per-op dispatch. Sweep drivers instead time one operator for every
+ * design of a chunk, so each op shape is looked up, validated and
+ * dispatched once per chunk rather than once per design.
  *
- * Bit-identity contract: every kernel mirrors its scalar model
- * expression for expression, in the same evaluation order, so each
- * lane's result is the exact double the scalar model produces
- * (tests/test_batch_eval.cpp pins this with EXPECT_DOUBLE_EQ across
- * the fig06 op shapes). ANALYTIC mode only — TILE_SIM latencies come
- * from the wave scheduler, which is per-design by nature and already
- * served by perf::GemmCache.
+ * There is no second copy of the physics: every per-design step calls
+ * the same analytic.hh roofline functions the scalar models call, on
+ * the same DeviceTerms, so each lane's result is the exact double the
+ * scalar model produces (tests/test_batch_eval.cpp checks this over
+ * the fig06 op shapes). The inner loops are plain per-design calls;
+ * they do not auto-vectorize (the roofline branches on tiling and
+ * blocking), and the win is the per-op work hoisted out of them.
+ * ANALYTIC mode only — TILE_SIM/CYCLE_SIM latencies come from
+ * per-design schedule simulation, served by perf::GemmCache.
  */
 
 #ifndef ACS_PERF_BATCH_EVAL_HH
@@ -30,56 +29,40 @@
 
 #include "hw/config.hh"
 #include "model/ops.hh"
+#include "perf/analytic.hh"
 #include "perf/perf_params.hh"
 
 namespace acs {
 namespace perf {
 
-/**
- * Structure-of-arrays view of N hardware designs: exactly the derived
- * quantities the analytic op models consume, precomputed once per
- * design at push() with the same expressions the scalar models use
- * (so downstream arithmetic sees identical doubles).
- */
+/** The roofline terms of N hardware designs, one DeviceTerms each. */
 struct DesignBatch
 {
-    std::vector<double> clockHz;
-    std::vector<double> l1BytesPerLane;    //!< cfg.l1BytesPerLane()
-    std::vector<double> l2Bytes;
-    std::vector<double> memBandwidth;
-    std::vector<double> deviceBandwidth;   //!< cfg.deviceBandwidth()
-    std::vector<double> peakTensorFlops;   //!< cfg.peakTensorTops()*1e12
-    std::vector<double> peakVectorFlops;   //!< cfg.peakVectorFlops()
-    std::vector<double> systolicFpus;      //!< cfg.totalSystolicFpus()
-    std::vector<double> arraysD;           //!< totalSystolicArrays()
-    std::vector<long> arraysL;             //!< same, integer form
-    std::vector<long> systolicDimX;
-    std::vector<long> systolicDimY;
-    std::vector<long> lanesPerCore;
+    std::vector<DeviceTerms> devices;
 
-    std::size_t size() const { return clockHz.size(); }
-    void clear();
-    void reserve(std::size_t n);
+    std::size_t size() const { return devices.size(); }
+    void clear() { devices.clear(); }
+    void reserve(std::size_t n) { devices.reserve(n); }
 
     /** Append one design (validated by the caller, as plan.point does). */
-    void push(const hw::HardwareConfig &cfg);
+    void push(const hw::HardwareConfig &cfg) { devices.emplace_back(cfg); }
 };
 
 /**
  * Time one MATMUL op for every design in @p batch (ANALYTIC roofline;
- * mirrors MatmulModel::time minus the TILE_SIM branch).
+ * MatmulModel::time minus the simulating modes).
  *
  * @param out totalS per design, length batch.size().
  */
 void batchMatmulTotalS(const DesignBatch &batch, const model::Op &op,
                        const PerfParams &params, double *out);
 
-/** Time one VECTOR op for every design (mirrors VectorModel::time). */
+/** Time one VECTOR op for every design (as VectorModel::time). */
 void batchVectorTotalS(const DesignBatch &batch, const model::Op &op,
                        const PerfParams &params, double *out);
 
 /**
- * Time one ALLREDUCE op for every design (mirrors CommModel::time).
+ * Time one ALLREDUCE op for every design (as CommModel::time).
  * Zero at tensor_parallel == 1; fatal on a zero-interconnect design
  * otherwise, like the scalar model.
  */
@@ -90,8 +73,8 @@ void batchAllreduceTotalS(const DesignBatch &batch, const model::Op &op,
 /**
  * Batched counterpart of InferenceSimulator::simulateLayer +
  * OpShapeMemo: sums per-op latencies of a layer graph across N
- * designs, memoizing repeated op shapes (when params.memoizeOps) so a
- * shape repeated within one evaluation is timed once per batch.
+ * designs, memoizing repeated op shapes so a shape repeated within
+ * one evaluation is timed once per batch.
  *
  * Usage per design chunk: reset(), then one layerLatency call per
  * graph (prefill, decode) — the memo spans the calls exactly like the
@@ -125,20 +108,9 @@ class BatchEvaluator
         std::vector<double> latencyS;
     };
 
-    const std::vector<double> *findMemo(const model::Op &op) const;
-
     PerfParams params_;
     std::vector<MemoEntry> memo_;
-    std::vector<double> scratch_;
 };
-
-/** True when params route sweep evaluation through the SoA kernels. */
-inline bool
-batchEvalEligible(const PerfParams &params)
-{
-    return params.gemmMode == GemmMode::ANALYTIC &&
-           params.batchAnalyticEval;
-}
 
 } // namespace perf
 } // namespace acs

@@ -7,9 +7,9 @@ namespace perf {
 
 CommModel::CommModel(const hw::HardwareConfig &cfg,
                      const PerfParams &params)
-    : cfg_(cfg), params_(params)
+    : dev_(cfg), params_(params)
 {
-    cfg_.validate();
+    cfg.validate();
 }
 
 CommTiming
@@ -19,23 +19,7 @@ CommModel::time(const model::Op &op, int tensor_parallel) const
         fatal("CommModel::time requires an ALLREDUCE op: " + op.name);
     fatalIf(tensor_parallel < 1,
             "CommModel::time: tensor_parallel must be >= 1");
-
-    CommTiming t;
-    if (tensor_parallel == 1)
-        return t;
-
-    fatalIf(cfg_.deviceBandwidth() <= 0.0,
-            "allreduce on a device with no interconnect: " + cfg_.name);
-
-    const double p = tensor_parallel;
-    const double volume = 2.0 * (p - 1.0) / p * op.commBytes;
-    // Aggregate bidirectional bandwidth -> one direction carries half.
-    const double link_bw = cfg_.deviceBandwidth() / 2.0 *
-                           params_.interconnectEfficiency;
-    t.wireS = volume / link_bw;
-    t.latencyS = 2.0 * (p - 1.0) * params_.allreduceStepLatencyS;
-    t.totalS = t.wireS + t.latencyS;
-    return t;
+    return allreduceRoofline(dev_, op, tensor_parallel, params_);
 }
 
 } // namespace perf

@@ -6,7 +6,8 @@
  * A ring allreduce moves 2 (p-1)/p of the payload through each device's
  * links and pays 2 (p-1) hop latencies. The device's *aggregate
  * bidirectional* bandwidth (the quantity the Oct-2022 ACR regulates) is
- * split evenly between the send and receive directions.
+ * split evenly between the send and receive directions. The closed
+ * form is allreduceRoofline (analytic.hh).
  */
 
 #ifndef ACS_PERF_COMM_MODEL_HH
@@ -14,18 +15,11 @@
 
 #include "hw/config.hh"
 #include "model/ops.hh"
+#include "perf/analytic.hh"
 #include "perf/perf_params.hh"
 
 namespace acs {
 namespace perf {
-
-/** Timing of one collective. */
-struct CommTiming
-{
-    double wireS = 0.0;    //!< bandwidth-proportional term
-    double latencyS = 0.0; //!< hop-latency term
-    double totalS = 0.0;
-};
 
 /**
  * Collective latency estimator.
@@ -47,7 +41,7 @@ class CommModel
     CommTiming time(const model::Op &op, int tensor_parallel) const;
 
   private:
-    hw::HardwareConfig cfg_;
+    DeviceTerms dev_;
     PerfParams params_;
 };
 

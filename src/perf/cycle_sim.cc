@@ -333,7 +333,7 @@ nextDue(const Machine &m)
     return next;
 }
 
-// ---- Periodic replay (COALESCED + cycleReplay only) ------------------
+// ---- Periodic replay (the coalesced loop only) ------------------------
 //
 // After warmup the machine is periodic: job classes depend only on the
 // tile-column phase (plus, for batched GEMMs, the slice phase), and
@@ -371,13 +371,10 @@ struct ReplayState
 };
 
 ReplayState
-makeReplay(const CycleModel &cm, const model::MatmulShape &mm,
-           const PerfParams &params)
+makeReplay(const CycleModel &cm, const model::MatmulShape &mm)
 {
     ReplayState r;
-    r.armed = params.cycleReplay &&
-              params.cycleEngine == CycleEngine::COALESCED &&
-              cm.jobs > cm.arrays;
+    r.armed = cm.jobs > cm.arrays;
     // Within one batch slice the class of a job is fixed by its tile
     // column alone as long as it stays off the remainder row, so
     // unbatched GEMMs match on the column phase and guard the last
@@ -524,11 +521,10 @@ onCheckpoint(const CycleModel &cm, Machine &m, std::int64_t now,
     r.seen.emplace(h, std::move(cp));
 }
 
-} // anonymous namespace
-
+/** Shared validation, model build, event loop and accounting. */
 CycleStats
-simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
-                   const PerfParams &params)
+simulate(const hw::HardwareConfig &cfg, const model::Op &op,
+         const PerfParams &params, bool naive_tick)
 {
     if (op.kind != model::OpKind::MATMUL)
         fatal("simulateGemmCycles requires a MATMUL op: " + op.name);
@@ -544,14 +540,14 @@ simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
     initMachine(cm, m);
 
     std::int64_t ticks = 0;
-    if (params.cycleEngine == CycleEngine::LEGACY_TICK) {
+    if (naive_tick) {
         // The naive reference: visit every cycle and poll all arrays.
         for (std::int64_t now = 0; m.live > 0; ++now) {
             drainCycle(cm, m, now, nullptr);
             ++ticks;
         }
     } else {
-        ReplayState replay = makeReplay(cm, mm, params);
+        ReplayState replay = makeReplay(cm, mm);
         while (m.live > 0) {
             const std::int64_t now = nextDue(m);
             bool fresh = false;
@@ -579,6 +575,22 @@ simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
                             static_cast<std::uint64_t>(ticks));
     }
     return m.stats;
+}
+
+} // anonymous namespace
+
+CycleStats
+simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
+                   const PerfParams &params)
+{
+    return simulate(cfg, op, params, /*naive_tick=*/false);
+}
+
+CycleStats
+simulateGemmCyclesTick(const hw::HardwareConfig &cfg, const model::Op &op,
+                       const PerfParams &params)
+{
+    return simulate(cfg, op, params, /*naive_tick=*/true);
 }
 
 } // namespace perf

@@ -19,9 +19,8 @@
  *
  *  - event coalescing: advance straight to the earliest pending
  *    pipeline transition and drain all same-cycle completions in one
- *    canonical pass (`CycleEngine::COALESCED`), instead of polling
- *    every array every cycle (`CycleEngine::LEGACY_TICK`, kept as the
- *    bit-exact reference);
+ *    canonical pass, instead of polling every array every cycle
+ *    (simulateGemmCyclesTick, kept as the bit-exact reference);
  *  - per-tile-class replay: after warmup the tile stream is periodic
  *    — interior/edge/corner classes recur with a fixed column phase —
  *    so the engine snapshots the relative machine state at tile
@@ -31,10 +30,11 @@
  *  - cross-design memoization: MatmulModel::time routes CYCLE_SIM
  *    results through perf::GemmCache under a mode-aware key.
  *
- * All timing state is integer cycles, so the coalesced engine (replay
- * on or off) is bit-identical to LEGACY_TICK — cycle counts and every
+ * All timing state is integer cycles, so the coalesced engine with
+ * replay is bit-identical to the naive tick — cycle counts and every
  * stall tally — which tests/test_cycle_sim.cpp pins with the same
- * randomized property pattern that guards TILE_SIM's two engines.
+ * randomized property pattern that guards TILE_SIM against its
+ * per-tile walk.
  */
 
 #ifndef ACS_PERF_CYCLE_SIM_HH
@@ -52,9 +52,9 @@ namespace perf {
 /**
  * Scalar result of one cycle-simulated GEMM.
  *
- * Every cycle field is an exact integer tally shared by both engines;
- * totalS is derived from `cycles` alone, so it inherits the bit-exact
- * contract.
+ * Every cycle field is an exact integer tally shared by the coalesced
+ * engine and the naive tick; totalS is derived from `cycles` alone, so
+ * it inherits the bit-exact contract.
  */
 struct CycleStats
 {
@@ -78,9 +78,10 @@ struct CycleStats
     /** Whether the double-buffered fill/compute overlap fit in L1. */
     bool overlapOk = true;
 
-    // --- Engine accounting (also bit-exact across engines) -----------
+    // --- Engine accounting -------------------------------------------
     std::int64_t events = 0;        //!< pipeline transitions processed
-    std::int64_t replayedTiles = 0; //!< tiles fast-forwarded by replay
+    /** Tiles fast-forwarded by replay (always 0 for the naive tick). */
+    std::int64_t replayedTiles = 0;
 };
 
 /**
@@ -89,9 +90,7 @@ struct CycleStats
  * Uses the same tile-selection policy (chooseTiles) and blocked HBM
  * traffic model as MatmulModel/TILE_SIM so the three modes are
  * directly comparable; derives latency from the explicit per-array
- * tile pipeline. `params.cycleEngine` selects the event loop and
- * `params.cycleReplay` the periodic fast-forward; all combinations
- * produce bit-identical CycleStats.
+ * tile pipeline with the event-coalesced loop and periodic replay.
  *
  * @param cfg    Device (validated).
  * @param op     Operator with kind == MATMUL (fatal otherwise).
@@ -100,6 +99,18 @@ struct CycleStats
 CycleStats simulateGemmCycles(const hw::HardwareConfig &cfg,
                               const model::Op &op,
                               const PerfParams &params = PerfParams{});
+
+/**
+ * The naive per-cycle tick: the same model and transition function as
+ * simulateGemmCycles, but visiting every cycle from 0 and polling all
+ * arrays (~10^3-10^4x slower). Kept as the reference the coalesced
+ * engine must match on every CycleStats field except replayedTiles
+ * (tests/test_cycle_sim.cpp) and as the `microbench --cycle-only`
+ * baseline. Never the right choice for sweeps.
+ */
+CycleStats simulateGemmCyclesTick(const hw::HardwareConfig &cfg,
+                                  const model::Op &op,
+                                  const PerfParams &params = PerfParams{});
 
 } // namespace perf
 } // namespace acs

@@ -40,16 +40,12 @@ fingerprintGemmParams(const PerfParams &params)
     h = fnvMix(h, bits(params.l1TileFraction));
     h = fnvMix(h, bits(params.kernelOverheadS));
     h = fnvMix(h, bits(params.pipelineFillOverlap));
+    // Bits 8 and 16 held the retired walk/tick engine switches (both
+    // 0 in production) and bit 32 the retired replay switch (always
+    // on): keeping their default values keeps existing keys valid.
     h = fnvMix(h, (params.modelPipelineFill ? 1u : 0u) |
                       (params.modelTiling ? 2u : 0u) |
-                      (params.modelL2Blocking ? 4u : 0u) |
-                      (params.tileSimEngine == TileSimEngine::LEGACY_WALK
-                           ? 8u
-                           : 0u) |
-                      (params.cycleEngine == CycleEngine::LEGACY_TICK
-                           ? 16u
-                           : 0u) |
-                      (params.cycleReplay ? 32u : 0u));
+                      (params.modelL2Blocking ? 4u : 0u) | 32u);
     // The mode itself keys the entry: TILE_SIM and CYCLE_SIM timings
     // for the same (device, op) projection must never alias.
     h = fnvMix(h, static_cast<std::uint64_t>(params.gemmMode));

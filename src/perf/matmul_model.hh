@@ -12,6 +12,10 @@
  *  - global-buffer blocking, which determines how many times the
  *    streamed operand re-reads from HBM (L2-size sensitivity);
  *  - HBM and global-buffer bandwidth roofs.
+ *
+ * The closed form itself lives in analytic.hh (shared with the sweep
+ * batch kernel); this class adds validation, the TILE_SIM/CYCLE_SIM
+ * dispatch and the cross-design GEMM cache.
  */
 
 #ifndef ACS_PERF_MATMUL_MODEL_HH
@@ -21,63 +25,22 @@
 
 #include "hw/config.hh"
 #include "model/ops.hh"
+#include "perf/analytic.hh"
 #include "perf/perf_params.hh"
 
 namespace acs {
 namespace perf {
 
-/** Where an op's latency comes from. */
-enum class Bound
-{
-    COMPUTE,
-    HBM,
-    GLOBAL_BUFFER,
-    INTERCONNECT,
-};
-
-/** Human-readable bound name. */
-std::string toString(Bound bound);
-
-/** Detailed timing of one GEMM. */
-struct MatmulTiming
-{
-    double computeS = 0.0;    //!< systolic compute time
-    double hbmS = 0.0;        //!< HBM streaming time
-    double globalBufS = 0.0;  //!< L2 <-> L1 streaming time
-    double utilization = 0.0; //!< achieved fraction of peak tensor TOPS
-    long tileM = 0;           //!< chosen output-tile rows
-    long tileN = 0;           //!< chosen output-tile columns
-    double hbmTrafficBytes = 0.0;
-    Bound bound = Bound::COMPUTE;
-
-    /** Final latency: the binding resource (+ launch overhead). */
-    double totalS = 0.0;
-};
-
-/** Output-tile shape chosen by the tiling policy. */
-struct TileChoice
-{
-    long tileM = 1;
-    long tileN = 1;
-};
-
 /**
- * The shared tiling policy: square tiles sized by the per-lane local
- * buffer budget, column tiles shrunk toward one array width when the
- * tile count cannot cover all systolic arrays (skinny decode GEMMs).
- * Used by both the closed-form MatmulModel and the wave-level tile
- * simulator so the two are directly comparable.
+ * The shared tiling policy (analytic.hh) for one config: used by the
+ * closed-form MatmulModel and the wave- and cycle-level simulators so
+ * all three time the same schedule.
  */
 TileChoice chooseTiles(const hw::HardwareConfig &cfg,
                        const model::MatmulShape &mm,
                        const PerfParams &params);
 
-/**
- * HBM traffic of one GEMM under global-buffer blocking: the cheaper
- * of keeping an A panel or a B panel resident, re-streaming the other
- * operand once per panel pass (weight-stationary ops only; attention
- * GEMMs stream both operands once).
- */
+/** Blocked HBM traffic of one GEMM (analytic.hh) for one config. */
 double blockedHbmTraffic(const hw::HardwareConfig &cfg,
                          const model::Op &op, const PerfParams &params);
 
@@ -104,18 +67,14 @@ class MatmulModel
     MatmulTiming time(const model::Op &op) const;
 
     /** Peak global-buffer bandwidth (bytes/s) of the modeled device. */
-    double globalBufferBandwidth() const;
-
-    /**
-     * Static form of globalBufferBandwidth so sibling models
-     * (VectorModel) can share the formula without constructing (and
-     * copy-validating) a whole MatmulModel per design point.
-     */
-    static double globalBufferBandwidth(const hw::HardwareConfig &cfg,
-                                        const PerfParams &params);
+    double globalBufferBandwidth() const
+    {
+        return perf::globalBufferBandwidth(dev_, params_);
+    }
 
   private:
     hw::HardwareConfig cfg_;
+    DeviceTerms dev_;
     PerfParams params_;
     /**
      * fingerprintGemmParams(params_), computed once here so TILE_SIM

@@ -68,85 +68,19 @@ parseGemmMode(const std::string &name, GemmMode *out)
 }
 
 /**
- * Which implementation runs the TILE_SIM wave schedule.
- *
- * Both engines implement the same physics and produce bit-identical
- * traces (tests/test_gemm_property.cpp); they differ only in cost.
- */
-enum class TileSimEngine
-{
-    /**
-     * Closed-form wave-class aggregation (the default): every tile in
-     * a wave falls into one of <= 4 shape classes, so a wave's
-     * slowest-tile time and fetch bytes come from O(1) class counts
-     * instead of an O(arrays) tile loop. See docs/PERF.md.
-     */
-    AGGREGATED,
-
-    /**
-     * The original per-tile wave walk, O(total tiles). Retained as the
-     * reference for the property suite and the `microbench
-     * --gemm-only` baseline; never the right choice for sweeps.
-     */
-    LEGACY_WALK,
-};
-
-/**
- * Which event loop runs the CYCLE_SIM core model.
- *
- * Both engines call the same per-array transition function and produce
- * bit-identical cycle counts and stall breakdowns
- * (tests/test_cycle_sim.cpp); they differ only in how they find the
- * next cycle with work in it.
- */
-enum class CycleEngine
-{
-    /**
-     * Event-coalesced loop (the default): advance straight to the
-     * earliest pending transition and drain every same-cycle
-     * completion in one canonical pass, skipping the provably idle
-     * cycles in between. With tile-class replay (cycleReplay) this is
-     * what makes cycle-level accuracy sweep-capable. See docs/PERF.md.
-     */
-    COALESCED,
-
-    /**
-     * The naive per-cycle tick: visit every cycle from 0 and poll all
-     * arrays, ~10^3-10^4x slower. Retained as the reference for the
-     * property suite and the `microbench --cycle-only` baseline; never
-     * the right choice for sweeps.
-     */
-    LEGACY_TICK,
-};
-
-/**
  * Efficiency and microarchitectural constants.
  *
  * Defaults are calibrated so the modeled A100 reproduces the paper's
  * first-order behaviour (see DESIGN.md). The ablation bench
- * (bench/abl_perf_model) sweeps the modeling switches.
+ * (bench/abl_perf_model) sweeps the modeling switches. Only the GEMM
+ * cache fields (gemmCache, cacheTileSimGemms) leave results unchanged;
+ * the slow reference engines are free functions for tests and the
+ * microbench (simulateGemmWalk, simulateGemmCyclesTick), not fields.
  */
 struct PerfParams
 {
     /** GEMM latency derivation (closed form vs wave simulation). */
     GemmMode gemmMode = GemmMode::ANALYTIC;
-
-    /** TILE_SIM implementation (aggregated fast path vs legacy walk). */
-    TileSimEngine tileSimEngine = TileSimEngine::AGGREGATED;
-
-    /** CYCLE_SIM event loop (coalesced fast path vs naive tick). */
-    CycleEngine cycleEngine = CycleEngine::COALESCED;
-
-    /**
-     * Let the coalesced CYCLE_SIM engine detect a periodic steady
-     * state and fast-forward whole periods of identical tile activity
-     * (per-tile-class replay with run-length contention correction)
-     * instead of re-simulating them. Bit-exact — the replayed span is
-     * a time-translated copy of a simulated one — so the switch exists
-     * for A/B verification only (tests assert on/off equality).
-     * Ignored by LEGACY_TICK.
-     */
-    bool cycleReplay = true;
 
     /**
      * DRAM bank timelines the CYCLE_SIM memory system models. Fill
@@ -227,16 +161,6 @@ struct PerfParams
     /** Model L1-capacity-limited tiling (ablation switch). */
     bool modelTiling = true;
 
-    /**
-     * Memoize op timings by shape within one simulation run: identical
-     * GEMM/vector shapes (e.g. the two norms, the two residual adds,
-     * the two allreduces of a decoder layer) are timed once and the
-     * cached timing reused. Bit-exact — the models are deterministic —
-     * so this is a pure speedup; the switch exists for A/B testing
-     * (tests/test_perf.cpp asserts on/off equality).
-     */
-    bool memoizeOps = true;
-
     /** Model L2-capacity GEMM blocking for HBM traffic (ablation). */
     bool modelL2Blocking = true;
 
@@ -244,7 +168,7 @@ struct PerfParams
      * Cross-design simulated-GEMM timing cache (non-owning; null =
      * none installed), consulted by the TILE_SIM and CYCLE_SIM modes
      * (entries are keyed by mode — see fingerprintGemmParams — so the
-     * two never alias). Where the op-shape memo above reuses timings
+     * two never alias). Where the per-run op-shape memo reuses timings
      * *within* one design's simulation run, this handle reuses them
      * *across* designs whose canonical projection matches (see
      * gemm_cache.hh) — sweep axes that never touch die-local GEMM
@@ -254,21 +178,6 @@ struct PerfParams
      * it outlives every model constructed from these params.
      */
     GemmCache *gemmCache = nullptr;
-
-    /**
-     * Let sweep drivers (dse::DesignEvaluator::evaluateStream and
-     * evaluatePlanIndices) evaluate ANALYTIC-mode designs through the
-     * SoA batch kernel (perf/batch_eval.hh): one structure-of-arrays
-     * pass per operator over a whole chunk of designs, with
-     * auto-vectorizable inner loops, instead of one InferenceSimulator
-     * per design. Bit-identical to the scalar path — the kernel
-     * mirrors MatmulModel/VectorModel/CommModel expression for
-     * expression (tests/test_batch_eval.cpp pins this) — so the
-     * switch exists for A/B benchmarking only. The batched path skips
-     * per-op trace spans and bound tallies; use the scalar path (or
-     * runSweep) when per-op observability matters.
-     */
-    bool batchAnalyticEval = true;
 
     /**
      * Let sweep drivers (dse::DesignEvaluator's evaluateAll,

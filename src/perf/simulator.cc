@@ -53,7 +53,7 @@ class OpShapeMemo
     const Timing *find(const model::Op &op) const
     {
         for (const Entry &e : entries_) {
-            if (matches(e.op, op))
+            if (sameOpShape(e.op, op))
                 return &e.timing;
         }
         return nullptr;
@@ -65,19 +65,6 @@ class OpShapeMemo
     }
 
   private:
-    static bool matches(const model::Op &a, const model::Op &b)
-    {
-        return a.kind == b.kind && a.flops == b.flops &&
-               a.weightBytes == b.weightBytes &&
-               a.inputBytes == b.inputBytes &&
-               a.outputBytes == b.outputBytes &&
-               a.commBytes == b.commBytes &&
-               a.memoryPasses == b.memoryPasses && a.mm.m == b.mm.m &&
-               a.mm.n == b.mm.n && a.mm.k == b.mm.k &&
-               a.mm.batchCount == b.mm.batchCount &&
-               a.mm.weightStationary == b.mm.weightStationary;
-    }
-
     struct Entry
     {
         model::Op op; //!< key fields only; the name is ignored
@@ -129,14 +116,13 @@ InferenceSimulator::simulateLayer(const model::LayerGraph &graph,
                                   int tensor_parallel) const
 {
     OpShapeMemo memo;
-    return simulateLayer(graph, tensor_parallel,
-                         params_.memoizeOps ? &memo : nullptr);
+    return simulateLayer(graph, tensor_parallel, memo);
 }
 
 LayerResult
 InferenceSimulator::simulateLayer(const model::LayerGraph &graph,
                                   int tensor_parallel,
-                                  OpShapeMemo *memo) const
+                                  OpShapeMemo &memo) const
 {
     fatalIf(tensor_parallel < 1,
             "simulateLayer: tensor_parallel must be >= 1");
@@ -148,7 +134,7 @@ InferenceSimulator::simulateLayer(const model::LayerGraph &graph,
         OpTiming timing;
         timing.name = op.name;
         timing.kind = op.kind;
-        const OpShapeMemo::Timing *hit = memo ? memo->find(op) : nullptr;
+        const OpShapeMemo::Timing *hit = memo.find(op);
         if (hit) {
             timing.latencyS = hit->latencyS;
             timing.bound = hit->bound;
@@ -176,10 +162,8 @@ InferenceSimulator::simulateLayer(const model::LayerGraph &graph,
                 break;
               }
             }
-            if (memo) {
-                memo->insert(op, {timing.latencyS, timing.bound,
-                                  timing.utilization});
-            }
+            memo.insert(op, {timing.latencyS, timing.bound,
+                             timing.utilization});
         }
         if (obs::enabled()) {
             // Memo hits still count: these tallies describe the graph
@@ -224,16 +208,15 @@ InferenceSimulator::run(const model::TransformerConfig &model_cfg,
     // One memo for both phases: the graph builders guarantee the
     // graphs were produced for the same tensor_parallel degree.
     OpShapeMemo memo;
-    OpShapeMemo *memo_ptr = params_.memoizeOps ? &memo : nullptr;
 
     InferenceResult r;
     {
         const obs::TraceSpan span("perf.prefill");
-        r.prefill = simulateLayer(prefill, sys.tensorParallel, memo_ptr);
+        r.prefill = simulateLayer(prefill, sys.tensorParallel, memo);
     }
     {
         const obs::TraceSpan span("perf.decode");
-        r.decode = simulateLayer(decode, sys.tensorParallel, memo_ptr);
+        r.decode = simulateLayer(decode, sys.tensorParallel, memo);
     }
     r.ttftS = r.prefill.latencyS;
     r.tbtS = r.decode.latencyS;

@@ -158,15 +158,15 @@ class InferenceSimulator
 
   private:
     /**
-     * simulateLayer with an optional cross-call memo: identical op
-     * shapes (Q/K/V projections, the paired norms/residuals, repeated
-     * allreduce payloads) are timed once per run. @p memo may be null
-     * (no memoization) and must only be shared between calls with the
-     * same tensor_parallel (collective timings depend on it).
+     * simulateLayer with a cross-call memo: identical op shapes
+     * (Q/K/V projections, the paired norms/residuals, repeated
+     * allreduce payloads) are timed once per run. @p memo must only be
+     * shared between calls with the same tensor_parallel (collective
+     * timings depend on it).
      */
     LayerResult simulateLayer(const model::LayerGraph &graph,
                               int tensor_parallel,
-                              OpShapeMemo *memo) const;
+                              OpShapeMemo &memo) const;
 
     hw::HardwareConfig cfg_;
     PerfParams params_;

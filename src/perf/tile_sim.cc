@@ -12,8 +12,6 @@ namespace perf {
 
 namespace {
 
-constexpr double ELEM_BYTES = 2.0;
-
 long
 ceilDivL(long a, long b)
 {
@@ -24,7 +22,7 @@ ceilDivL(long a, long b)
  * Tile shape classes of a wave schedule, in the canonical combine
  * order. Fixing the order fixes the floating-point summation order of
  * a wave's operand bytes, which is what lets the aggregated fast path
- * and the legacy per-tile walk produce bit-identical traces.
+ * and the per-tile walk produce bit-identical traces.
  */
 enum TileClass : int
 {
@@ -91,7 +89,7 @@ struct WaveModel
     double hbmPerTileS;
     double l2Bw;
 
-    WaveModel(const hw::HardwareConfig &cfg, const model::Op &op,
+    WaveModel(const DeviceTerms &dev, const model::Op &op,
               const PerfParams &params, const TileChoice &tiles)
     {
         const auto &mm = op.mm;
@@ -99,7 +97,7 @@ struct WaveModel
         nTiles = ceilDivL(mm.n, tiles.tileN);
         grid = mTiles * nTiles;
         jobs = mm.batchCount * grid;
-        arrays = cfg.totalSystolicArrays();
+        arrays = dev.arrays;
         waves = ceilDivL(jobs, arrays);
 
         // Remainder tile shapes at the problem edges.
@@ -109,19 +107,20 @@ struct WaveModel
         const double exposed_fill =
             params.modelPipelineFill
                 ? (1.0 - params.pipelineFillOverlap) *
-                      (cfg.systolicDimX + cfg.systolicDimY)
+                      static_cast<double>(dev.systolicDimX +
+                                          dev.systolicDimY)
                 : 0.0;
 
         // Per-tile systolic time for a (tm x tn) tile over the full k.
         auto tile_compute_s = [&](long tm, long tn) {
             const double k_waves =
-                static_cast<double>(ceilDivL(mm.k, cfg.systolicDimX)) *
-                ceilDivL(tn, cfg.systolicDimY);
+                static_cast<double>(ceilDivL(mm.k, dev.systolicDimX)) *
+                ceilDivL(tn, dev.systolicDimY);
             const double cycles = k_waves * (tm + exposed_fill);
-            return cycles / cfg.clockHz;
+            return cycles / dev.clockHz;
         };
         // A slab per tile; B slab shared across the core's lanes.
-        const long lanes = cfg.lanesPerCore;
+        const long lanes = dev.lanesPerCore;
         auto l2_term = [&](long tm, long tn) {
             return (static_cast<double>(tm) * mm.k +
                     static_cast<double>(mm.k) * tn / lanes) *
@@ -140,13 +139,11 @@ struct WaveModel
 
         // Amortized HBM service per tile (streaming is smooth across
         // the whole GEMM; blocking decides total traffic).
-        const double hbm_total = blockedHbmTraffic(cfg, op, params);
-        const double hbm_bw = cfg.memBandwidth * params.memEfficiency;
+        const double hbm_total = blockedHbmTraffic(dev, op, params);
+        const double hbm_bw = dev.memBandwidth * params.memEfficiency;
         hbmPerTileS = hbm_total / static_cast<double>(jobs) / hbm_bw;
 
-        l2Bw = params.l2BytesPerCyclePerFpu *
-               static_cast<double>(cfg.totalSystolicFpus()) * cfg.clockHz *
-               params.l2Efficiency;
+        l2Bw = globalBufferBandwidth(dev, params) * params.l2Efficiency;
     }
 
     /**
@@ -256,15 +253,16 @@ runAggregated(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
 
 /**
  * The original per-tile wave walk, retained as the O(total tiles)
- * reference implementation. Jobs are assigned round-robin in
- * (batch, mi, ni) order; a wave's compute time is its slowest tile
- * and its fetch traffic is the operand slabs it touches. The walk
- * classifies every tile individually but combines each wave's operand
- * bytes from the resulting class tallies via the same canonical-order
- * helper as the fast path, so the two paths are bit-comparable.
+ * reference implementation (simulateGemmWalk). Jobs are assigned
+ * round-robin in (batch, mi, ni) order; a wave's compute time is its
+ * slowest tile and its fetch traffic is the operand slabs it touches.
+ * The walk classifies every tile individually but combines each wave's
+ * operand bytes from the resulting class tallies via the same
+ * canonical-order helper as the fast path, so the two paths are
+ * bit-comparable.
  */
 GemmSummary
-runLegacyWalk(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
+runWalk(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
 {
     double l2_free = 0.0, hbm_free = 0.0, compute_free = 0.0;
     long job = 0;
@@ -320,10 +318,14 @@ runLegacyWalk(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
     return summary;
 }
 
-/** Shared validation + dispatch for both entry points. */
+/** A wave-schedule engine: the aggregated fast path or the walk. */
+using Engine = GemmSummary (*)(const WaveModel &, const PerfParams &,
+                               GemmTrace *);
+
+/** Shared validation + model construction for every entry point. */
 GemmSummary
 simulate(const hw::HardwareConfig &cfg, const model::Op &op,
-         const PerfParams &params, GemmTrace *trace)
+         const PerfParams &params, Engine engine, GemmTrace *trace)
 {
     cfg.validate();
     fatalIf(op.kind != model::OpKind::MATMUL,
@@ -333,13 +335,11 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
             "simulateGemm: degenerate GEMM dims in " + op.name);
 
     const obs::TraceSpan span("perf.tile_sim");
-    const TileChoice tiles = chooseTiles(cfg, mm, params);
-    const WaveModel wm(cfg, op, params, tiles);
+    const DeviceTerms dev(cfg);
+    const TileChoice tiles = chooseTiles(dev, mm, params);
+    const WaveModel wm(dev, op, params, tiles);
 
-    GemmSummary summary =
-        params.tileSimEngine == TileSimEngine::LEGACY_WALK
-            ? runLegacyWalk(wm, params, trace)
-            : runAggregated(wm, params, trace);
+    GemmSummary summary = engine(wm, params, trace);
     summary.tileM = tiles.tileM;
     summary.tileN = tiles.tileN;
 
@@ -351,14 +351,12 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
     return summary;
 }
 
-} // anonymous namespace
-
 GemmTrace
-simulateGemm(const hw::HardwareConfig &cfg, const model::Op &op,
-             const PerfParams &params)
+simulateTraced(const hw::HardwareConfig &cfg, const model::Op &op,
+               const PerfParams &params, Engine engine)
 {
     GemmTrace trace;
-    const GemmSummary summary = simulate(cfg, op, params, &trace);
+    const GemmSummary summary = simulate(cfg, op, params, engine, &trace);
     trace.tileM = summary.tileM;
     trace.tileN = summary.tileN;
     trace.totalS = summary.totalS;
@@ -366,11 +364,27 @@ simulateGemm(const hw::HardwareConfig &cfg, const model::Op &op,
     return trace;
 }
 
+} // anonymous namespace
+
+GemmTrace
+simulateGemm(const hw::HardwareConfig &cfg, const model::Op &op,
+             const PerfParams &params)
+{
+    return simulateTraced(cfg, op, params, runAggregated);
+}
+
 GemmSummary
 simulateGemmSummary(const hw::HardwareConfig &cfg, const model::Op &op,
                     const PerfParams &params)
 {
-    return simulate(cfg, op, params, nullptr);
+    return simulate(cfg, op, params, runAggregated, nullptr);
+}
+
+GemmTrace
+simulateGemmWalk(const hw::HardwareConfig &cfg, const model::Op &op,
+                 const PerfParams &params)
+{
+    return simulateTraced(cfg, op, params, runWalk);
 }
 
 } // namespace perf

@@ -16,6 +16,8 @@
  *  - simulateGemm materializes the full per-wave trace;
  *  - simulateGemmSummary returns only the scalars a sweep needs
  *    (latency, wave count, tile count) without allocating WaveRecords.
+ * simulateGemmWalk is the per-tile reference walk, for tests and the
+ * microbench baseline only.
  */
 
 #ifndef ACS_PERF_TILE_SIM_HH
@@ -82,10 +84,9 @@ struct GemmSummary
  * with fetch_ready_i tracking the shared global-buffer and HBM
  * service queues.
  *
- * `params.tileSimEngine` selects the implementation: AGGREGATED (the
- * default) derives each wave from O(1) shape-class counts; LEGACY_WALK
- * is the original O(total tiles) per-tile walk. Both produce
- * bit-identical traces.
+ * Each wave is derived from O(1) tile-shape-class counts (the
+ * aggregated engine); simulateGemmWalk is the per-tile reference it
+ * is tested against.
  *
  * @param cfg    Device (validated).
  * @param op     Operator with kind == MATMUL (fatal otherwise).
@@ -106,6 +107,16 @@ GemmTrace simulateGemm(const hw::HardwareConfig &cfg,
 GemmSummary simulateGemmSummary(const hw::HardwareConfig &cfg,
                                 const model::Op &op,
                                 const PerfParams &params = PerfParams{});
+
+/**
+ * The per-tile wave walk: the original O(total tiles) schedule walk,
+ * kept as the reference the aggregated engine must match bit for bit
+ * (tests/test_gemm_property.cpp) and as the `microbench --gemm-only`
+ * baseline. Never the right choice for sweeps.
+ */
+GemmTrace simulateGemmWalk(const hw::HardwareConfig &cfg,
+                           const model::Op &op,
+                           const PerfParams &params = PerfParams{});
 
 } // namespace perf
 } // namespace acs

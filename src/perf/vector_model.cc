@@ -1,7 +1,5 @@
 #include "vector_model.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace acs {
@@ -9,11 +7,9 @@ namespace perf {
 
 VectorModel::VectorModel(const hw::HardwareConfig &cfg,
                          const PerfParams &params)
-    : cfg_(cfg), params_(params)
+    : dev_(cfg), params_(params)
 {
-    cfg_.validate();
-    globalBufBandwidth_ =
-        MatmulModel::globalBufferBandwidth(cfg_, params_);
+    cfg.validate();
 }
 
 VectorTiming
@@ -21,28 +17,7 @@ VectorModel::time(const model::Op &op) const
 {
     if (op.kind != model::OpKind::VECTOR)
         fatal("VectorModel::time requires a VECTOR op: " + op.name);
-
-    VectorTiming t;
-    t.computeS = op.flops / cfg_.peakVectorFlops();
-
-    const int passes =
-        params_.modelMultiPassVector ? std::max(1, op.memoryPasses) : 1;
-    const double bytes = op.inputBytes * passes + op.outputBytes;
-    t.servedByGlobalBuffer =
-        bytes <= cfg_.l2Bytes * params_.l2BlockingFraction;
-    const double bw = t.servedByGlobalBuffer
-                          ? globalBufBandwidth_ * params_.l2Efficiency
-                          : cfg_.memBandwidth * params_.memEfficiency;
-    t.memoryS = bytes / bw;
-
-    t.totalS = std::max(t.computeS, t.memoryS) + params_.kernelOverheadS;
-    // Argmax over component times (ties prefer compute), mirroring the
-    // bound attribution in MatmulModel::time.
-    t.bound = t.computeS >= t.memoryS
-                  ? Bound::COMPUTE
-                  : (t.servedByGlobalBuffer ? Bound::GLOBAL_BUFFER
-                                            : Bound::HBM);
-    return t;
+    return vectorRoofline(dev_, op, params_);
 }
 
 } // namespace perf

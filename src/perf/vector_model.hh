@@ -5,7 +5,8 @@
  * Softmax, LayerNorm, activations, and residual adds have low arithmetic
  * intensity (Sec. 3.1): their latency is the max of vector-throughput
  * time and memory-streaming time, with the streaming level chosen by
- * whether the working set fits the global buffer.
+ * whether the working set fits the global buffer. The closed form is
+ * vectorRoofline (analytic.hh).
  */
 
 #ifndef ACS_PERF_VECTOR_MODEL_HH
@@ -13,21 +14,11 @@
 
 #include "hw/config.hh"
 #include "model/ops.hh"
-#include "perf/matmul_model.hh"
+#include "perf/analytic.hh"
 #include "perf/perf_params.hh"
 
 namespace acs {
 namespace perf {
-
-/** Timing of one vector op. */
-struct VectorTiming
-{
-    double computeS = 0.0; //!< vector-unit time
-    double memoryS = 0.0;  //!< streaming time at the serving level
-    bool servedByGlobalBuffer = false;
-    Bound bound = Bound::COMPUTE;
-    double totalS = 0.0;
-};
 
 /**
  * Vector-op latency estimator for one device.
@@ -47,9 +38,8 @@ class VectorModel
     VectorTiming time(const model::Op &op) const;
 
   private:
-    hw::HardwareConfig cfg_;
+    DeviceTerms dev_;
     PerfParams params_;
-    double globalBufBandwidth_;
 };
 
 } // namespace perf

@@ -260,6 +260,22 @@ TEST(AdaptiveCheckpoint, MissingFileReadsFalse)
         readCheckpoint(testing::TempDir() + "acs-no-such.ckpt", &ck));
 }
 
+TEST(AdaptiveCheckpoint, SearchFingerprintPinned)
+{
+    // Checkpoints written by earlier builds resume only while the
+    // default search fingerprint stays put: these are the values
+    // every earlier release computed for the fig06 space.
+    const SweepSpace space = table3Space(4800.0, {600.0 * units::GBPS});
+    EXPECT_EQ(AdaptiveSearch::searchFingerprint(space, perf::PerfParams{},
+                                                AdaptiveConfig{}),
+              0xfd6d399a0c85559eull);
+    perf::PerfParams tile;
+    tile.gemmMode = perf::GemmMode::TILE_SIM;
+    EXPECT_EQ(AdaptiveSearch::searchFingerprint(space, tile,
+                                                AdaptiveConfig{}),
+              0xa614eb981cb0f367ull);
+}
+
 // ---- sharding --------------------------------------------------------------
 
 TEST(ShardSpec, ParseAndRange)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Bit-identity pinning of the SoA batch kernels (perf/batch_eval.hh)
+ * Bit-identity pinning of the batch kernels (perf/batch_eval.hh)
  * against the scalar op models: every lane of a batched evaluation
  * must reproduce the scalar MatmulModel/VectorModel/CommModel result
  * exactly (EXPECT_DOUBLE_EQ) across the fig06 design space and the
  * real op shapes of the paper's workloads, under every ANALYTIC-mode
- * params variation. TILE_SIM does not support batching; the sweep
- * drivers must keep producing identical results there too (scalar
- * fallback), which the end-to-end A/B test covers.
+ * params variation. End to end, the streaming sweep (batched in
+ * ANALYTIC mode) must match evaluateAll, the scalar per-design path,
+ * in every GEMM mode.
  */
 
 #include <gtest/gtest.h>
@@ -121,23 +121,24 @@ TEST(BatchEval, MatchesScalarModelsAblations)
     expectBatchMatchesScalar(core::gpt3Workload(), p);
 }
 
-/** End-to-end A/B: the streaming sweep with the batch path on vs off
- *  must produce bit-identical argmins and tallies — for ANALYTIC mode
- *  (batched vs scalar) and TILE_SIM (where the batch switch must be a
- *  no-op and the scalar/cache pipeline runs either way). */
+/** End to end: the streaming sweep (batched in ANALYTIC mode, the
+ *  scalar/cache pipeline otherwise) must reproduce the argmins and
+ *  tallies of evaluateAll, the scalar per-design path, folded in
+ *  enumeration order. */
 void
-expectStreamABIdentical(PerfParams params)
+expectStreamABIdentical(const PerfParams &params)
 {
     const core::Workload w = core::gpt3Workload();
     const dse::SweepSpace space = fig06Space();
+    const dse::DesignEvaluator evaluator(w.model, w.setting, w.system,
+                                         params);
+    const dse::StreamStats a = evaluator.evaluateStream(space);
 
-    params.batchAnalyticEval = true;
-    const dse::DesignEvaluator on(w.model, w.setting, w.system, params);
-    const dse::StreamStats a = on.evaluateStream(space);
-
-    params.batchAnalyticEval = false;
-    const dse::DesignEvaluator off(w.model, w.setting, w.system, params);
-    const dse::StreamStats b = off.evaluateStream(space);
+    const std::vector<dse::EvaluatedDesign> all =
+        evaluator.evaluateAll(space.generate());
+    dse::StreamStats b;
+    for (std::size_t i = 0; i < all.size(); ++i)
+        b.absorb(all[i], i, true);
 
     ASSERT_TRUE(a.bestTtft && b.bestTtft && a.bestTbt && b.bestTbt);
     EXPECT_EQ(a.evaluated, b.evaluated);

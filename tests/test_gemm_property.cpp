@@ -2,11 +2,11 @@
  * @file
  * Property suite for the closed-form wave-aggregation GEMM engine.
  *
- * The AGGREGATED tile-sim engine derives each wave from O(1) shape
- * class counts; LEGACY_WALK is the original per-tile walk. The two
- * must be bit-identical — not merely close — on every field of the
+ * The tile-sim engine derives each wave from O(1) shape class counts;
+ * simulateGemmWalk is the original per-tile walk, kept as the
+ * reference. The two must be bit-identical — not merely close — on every field of the
  * trace, because TILE_SIM sweep results are compared across runs and
- * modes byte-for-byte. This suite drives both engines over randomized
+ * modes byte-for-byte. This suite drives both over randomized
  * skinny / square / remainder-heavy shapes and a spread of device
  * geometries, plus a direct check that the closed-form tile-N shrink
  * in chooseTiles reproduces the historical halving cascade.
@@ -97,17 +97,12 @@ void
 runEquivalence(const hw::HardwareConfig &cfg, const model::Op &op,
                const std::string &label)
 {
-    PerfParams fast_params;
-    fast_params.tileSimEngine = TileSimEngine::AGGREGATED;
-    PerfParams ref_params;
-    ref_params.tileSimEngine = TileSimEngine::LEGACY_WALK;
-
-    const GemmTrace fast = simulateGemm(cfg, op, fast_params);
-    const GemmTrace ref = simulateGemm(cfg, op, ref_params);
+    const GemmTrace fast = simulateGemm(cfg, op);
+    const GemmTrace ref = simulateGemmWalk(cfg, op);
     expectTracesBitIdentical(fast, ref, label);
 
     // The summary path must see the exact doubles of the trace path.
-    const GemmSummary s = simulateGemmSummary(cfg, op, fast_params);
+    const GemmSummary s = simulateGemmSummary(cfg, op);
     EXPECT_EQ(s.tileM, fast.tileM) << label;
     EXPECT_EQ(s.tileN, fast.tileN) << label;
     EXPECT_EQ(s.waves, static_cast<long>(fast.waves.size())) << label;

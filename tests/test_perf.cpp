@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -497,42 +499,95 @@ TEST(LayerResult, MfuValidation)
 
 // ---- op-shape memoization ---------------------------------------------------
 
+/**
+ * The oracle for the per-run op-shape memo: one layer timed op by op
+ * with freshly constructed scalar models and no memo, summed in graph
+ * order. @p gemm_s, when set, replaces the MATMUL latency (e.g. with
+ * the per-tile walk reference).
+ */
+LayerResult
+unmemoizedLayer(const hw::HardwareConfig &cfg, const PerfParams &params,
+                const model::LayerGraph &graph, int tensor_parallel,
+                const std::function<double(const model::Op &)> &gemm_s =
+                    nullptr)
+{
+    const MatmulModel matmul(cfg, params);
+    const VectorModel vector(cfg, params);
+    const CommModel comm(cfg, params);
+    LayerResult r;
+    for (const model::Op &op : graph.ops) {
+        OpTiming t;
+        switch (op.kind) {
+          case model::OpKind::MATMUL: {
+            const MatmulTiming m = matmul.time(op);
+            t.latencyS = gemm_s ? gemm_s(op) : m.totalS;
+            t.bound = m.bound;
+            break;
+          }
+          case model::OpKind::VECTOR: {
+            const VectorTiming v = vector.time(op);
+            t.latencyS = v.totalS;
+            t.bound = v.bound;
+            break;
+          }
+          case model::OpKind::ALLREDUCE:
+            t.latencyS = comm.time(op, tensor_parallel).totalS;
+            t.bound = Bound::INTERCONNECT;
+            break;
+        }
+        r.latencyS += t.latencyS;
+        r.ops.push_back(t);
+    }
+    return r;
+}
+
+/** Memoized simulator layer vs the unmemoized oracle, bit for bit. */
+void
+expectLayerMatchesOracle(const LayerResult &memoized,
+                         const LayerResult &oracle,
+                         const std::string &label)
+{
+    EXPECT_EQ(memoized.latencyS, oracle.latencyS) << label;
+    ASSERT_EQ(memoized.ops.size(), oracle.ops.size()) << label;
+    for (std::size_t i = 0; i < oracle.ops.size(); ++i) {
+        EXPECT_EQ(memoized.ops[i].latencyS, oracle.ops[i].latencyS)
+            << label << " op " << i;
+        EXPECT_EQ(memoized.ops[i].bound, oracle.ops[i].bound)
+            << label << " op " << i;
+    }
+}
+
+/** One run() against the per-op oracle on both phases. */
+void
+expectRunMatchesOracle(const PerfParams &params,
+                       const model::TransformerConfig &m, int tp,
+                       const std::function<double(const model::Op &)>
+                           &gemm_s = nullptr)
+{
+    const hw::HardwareConfig cfg = hw::modeledA100();
+    const model::InferenceSetting setting;
+    const InferenceResult r =
+        InferenceSimulator(cfg, params).run(m, setting, SystemConfig{tp});
+    const LayerResult prefill = unmemoizedLayer(
+        cfg, params, model::buildPrefillGraph(m, setting, tp), tp, gemm_s);
+    const LayerResult decode = unmemoizedLayer(
+        cfg, params, model::buildDecodeGraph(m, setting, tp), tp, gemm_s);
+    expectLayerMatchesOracle(r.prefill, prefill, m.name + " prefill");
+    expectLayerMatchesOracle(r.decode, decode, m.name + " decode");
+    EXPECT_EQ(r.ttftS, prefill.latencyS) << m.name;
+    EXPECT_EQ(r.tbtS, decode.latencyS) << m.name;
+    EXPECT_EQ(r.ttftFullModelS, prefill.latencyS * m.numLayers) << m.name;
+    EXPECT_EQ(r.tbtFullModelS, decode.latencyS * m.numLayers) << m.name;
+}
+
 TEST(OpShapeMemo, MemoOnOffBitIdentical)
 {
     // Memoized timings must be byte-for-byte what re-timing would
     // produce: identical shapes reuse the stored result, so the run's
-    // doubles cannot drift.
+    // doubles cannot drift from a per-op sum of the scalar models.
     for (const model::TransformerConfig &m :
-         {model::gpt3_175b(), model::llama3_8b()}) {
-        PerfParams on;
-        on.memoizeOps = true;
-        PerfParams off;
-        off.memoizeOps = false;
-        const InferenceSimulator sim_on(hw::modeledA100(), on);
-        const InferenceSimulator sim_off(hw::modeledA100(), off);
-        const model::InferenceSetting setting;
-        const SystemConfig sys{4};
-        const InferenceResult a = sim_on.run(m, setting, sys);
-        const InferenceResult b = sim_off.run(m, setting, sys);
-        EXPECT_EQ(a.ttftS, b.ttftS) << m.name;
-        EXPECT_EQ(a.tbtS, b.tbtS) << m.name;
-        EXPECT_EQ(a.ttftFullModelS, b.ttftFullModelS) << m.name;
-        EXPECT_EQ(a.tbtFullModelS, b.tbtFullModelS) << m.name;
-        EXPECT_EQ(a.fitsMemory, b.fitsMemory) << m.name;
-        ASSERT_EQ(a.prefill.ops.size(), b.prefill.ops.size());
-        for (std::size_t i = 0; i < a.prefill.ops.size(); ++i) {
-            EXPECT_EQ(a.prefill.ops[i].latencyS,
-                      b.prefill.ops[i].latencyS)
-                << m.name << " prefill op " << i;
-            EXPECT_EQ(a.prefill.ops[i].bound, b.prefill.ops[i].bound);
-        }
-        ASSERT_EQ(a.decode.ops.size(), b.decode.ops.size());
-        for (std::size_t i = 0; i < a.decode.ops.size(); ++i) {
-            EXPECT_EQ(a.decode.ops[i].latencyS,
-                      b.decode.ops[i].latencyS)
-                << m.name << " decode op " << i;
-        }
-    }
+         {model::gpt3_175b(), model::llama3_8b()})
+        expectRunMatchesOracle(PerfParams{}, m, 4);
 }
 
 // ---- TILE_SIM GEMM mode -----------------------------------------------------
@@ -559,42 +614,24 @@ TEST(GemmMode, TileSimMemoOnOffBitIdentical)
     // Memoization must stay bit-exact when the memoized timings come
     // from the wave simulator instead of the closed form — TILE_SIM
     // sweeps lean on the memo to amortize the per-shape schedule.
-    PerfParams on;
-    on.gemmMode = GemmMode::TILE_SIM;
-    on.memoizeOps = true;
-    PerfParams off = on;
-    off.memoizeOps = false;
-    const model::TransformerConfig m = model::llama3_8b();
-    const model::InferenceSetting setting;
-    const SystemConfig sys{1};
-    const InferenceResult a =
-        InferenceSimulator(hw::modeledA100(), on).run(m, setting, sys);
-    const InferenceResult b =
-        InferenceSimulator(hw::modeledA100(), off).run(m, setting, sys);
-    EXPECT_EQ(a.ttftS, b.ttftS);
-    EXPECT_EQ(a.tbtS, b.tbtS);
-    EXPECT_EQ(a.ttftFullModelS, b.ttftFullModelS);
-    EXPECT_EQ(a.tbtFullModelS, b.tbtFullModelS);
+    PerfParams params;
+    params.gemmMode = GemmMode::TILE_SIM;
+    expectRunMatchesOracle(params, model::llama3_8b(), 1);
 }
 
 TEST(GemmMode, TileSimEnginesAgreeThroughSimulator)
 {
     // End to end through the layer simulator, the aggregated engine
-    // and the legacy walk must be interchangeable.
-    PerfParams fast;
-    fast.gemmMode = GemmMode::TILE_SIM;
-    fast.tileSimEngine = TileSimEngine::AGGREGATED;
-    PerfParams ref = fast;
-    ref.tileSimEngine = TileSimEngine::LEGACY_WALK;
-    const model::TransformerConfig m = model::llama3_8b();
-    const model::InferenceSetting setting;
-    const SystemConfig sys{1};
-    const InferenceResult a =
-        InferenceSimulator(hw::modeledA100(), fast).run(m, setting, sys);
-    const InferenceResult b =
-        InferenceSimulator(hw::modeledA100(), ref).run(m, setting, sys);
-    EXPECT_EQ(a.ttftS, b.ttftS);
-    EXPECT_EQ(a.tbtS, b.tbtS);
+    // must reproduce a layer timed GEMM by GEMM with the per-tile
+    // walk reference.
+    PerfParams params;
+    params.gemmMode = GemmMode::TILE_SIM;
+    const hw::HardwareConfig cfg = hw::modeledA100();
+    expectRunMatchesOracle(params, model::llama3_8b(), 1,
+                           [&](const model::Op &op) {
+                               return simulateGemmWalk(cfg, op, params)
+                                   .totalS;
+                           });
 }
 
 TEST(GemmMode, FlagParsingRoundTrips)
@@ -666,7 +703,6 @@ TEST(GemmCache, HitReturnsIdenticalBitsAndTallies)
     PerfParams params;
     params.gemmMode = GemmMode::TILE_SIM;
     params.gemmCache = &cache;
-    params.memoizeOps = false; // isolate the cross-design cache
     const MatmulModel m(hw::modeledA100(), params);
     const model::Op op = weightGemm(2048, 4096, 4096);
 
@@ -719,7 +755,6 @@ TEST(GemmCache, KeyIgnoresInterconnectFields)
     // original populated, bit-exactly.
     GemmCache cache;
     params.gemmCache = &cache;
-    params.memoizeOps = false;
     const MatmulTiming ta = MatmulModel(a, params).time(op);
     const MatmulTiming tb = MatmulModel(b, params).time(op);
     EXPECT_EQ(ta.totalS, tb.totalS);
@@ -776,18 +811,34 @@ TEST(GemmCache, ParamsFingerprintSeparatesTimingConstants)
     a.gemmMode = GemmMode::TILE_SIM;
     PerfParams b = a;
     b.memEfficiency = a.memEfficiency * 0.5;
-    PerfParams c = a;
-    c.tileSimEngine = TileSimEngine::LEGACY_WALK;
     EXPECT_NE(fingerprintGemmParams(a), fingerprintGemmParams(b));
-    // Engine choice is timing-invariant (proved bit-identical by
-    // tests/test_gemm_property.cpp) but fingerprinted anyway so a
-    // shared cache never mixes engines within one sweep.
-    EXPECT_NE(fingerprintGemmParams(a), fingerprintGemmParams(c));
 
     const model::Op op = weightGemm(2048, 4096, 4096);
     const hw::HardwareConfig cfg = hw::modeledA100();
     EXPECT_FALSE(makeGemmCacheKey(cfg, op, a, fingerprintGemmParams(a)) ==
                  makeGemmCacheKey(cfg, op, b, fingerprintGemmParams(b)));
+}
+
+TEST(GemmCache, ParamsFingerprintPinned)
+{
+    // Cache keys persist across builds only if the fingerprint of the
+    // default constants never moves: these are the values every
+    // earlier release computed. A change here must be deliberate.
+    const struct
+    {
+        GemmMode mode;
+        std::uint64_t fp;
+    } pins[] = {
+        {GemmMode::ANALYTIC, 0x8e796688bbf03eebull},
+        {GemmMode::TILE_SIM, 0x4c796dfc222a770aull},
+        {GemmMode::CYCLE_SIM, 0x83c800bb7603bde9ull},
+    };
+    for (const auto &pin : pins) {
+        PerfParams params;
+        params.gemmMode = pin.mode;
+        EXPECT_EQ(fingerprintGemmParams(params), pin.fp)
+            << toString(pin.mode);
+    }
 }
 
 } // anonymous namespace

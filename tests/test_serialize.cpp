@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/keyval.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -149,6 +151,32 @@ TEST(HwSerialize, InvalidLoadedConfigIsFatal)
     EXPECT_THROW(
         hw::configFromKeyVal(KeyVal::parse("core_count = 0\n")),
         FatalError);
+}
+
+TEST(HwSerialize, NonFiniteLoadedValuesAreFatalAndNamed)
+{
+    // strtod accepts "nan" and "inf", and NaN slips through `x <= 0`
+    // guards: validation must reject both and name the field.
+    const struct
+    {
+        const char *text;
+        const char *field;
+    } cases[] = {
+        {"mem_bandwidth = nan\n", "memBandwidth"},
+        {"clock_hz = inf\n", "clockHz"},
+        {"l2_bytes = nan\n", "l2Bytes"},
+        {"per_phy_bandwidth = nan\n", "perPhyBandwidth"},
+    };
+    for (const auto &c : cases) {
+        try {
+            hw::configFromKeyVal(KeyVal::parse(c.text));
+            ADD_FAILURE() << "accepted " << c.text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(HwSerialize, ProcessNames)
