@@ -14,6 +14,18 @@
 #include "policy/arch_policy.hh"
 
 namespace acs {
+namespace model {
+
+// Print the workload name, not the struct's bytes: the default printer
+// dumps the string's heap pointer into the test names.
+void
+PrintTo(const GraphicsWorkload &workload, std::ostream *os)
+{
+    *os << workload.name;
+}
+
+} // namespace model
+
 namespace {
 
 using model::GraphicsWorkload;

@@ -99,6 +99,14 @@ struct InvalidField
     void (*mutate)(HardwareConfig &);
 };
 
+// Print the field name, not the struct's bytes: the default printer dumps
+// pointers, which would put load addresses into the test names.
+void
+PrintTo(const InvalidField &field, std::ostream *os)
+{
+    *os << field.name;
+}
+
 class ValidateRejects : public ::testing::TestWithParam<InvalidField>
 {};
 
