@@ -130,7 +130,7 @@ legacyEagerValidate(const hw::HardwareConfig &cfg)
           ": HBM bandwidth must be > 0", ": PHY count must be >= 0",
           ": PHY bandwidth must be >= 0",
           ": diesPerPackage must be >= 1"}) {
-        sink += (cfg.name + suffix).size();
+        sink = sink + (cfg.name + suffix).size();
     }
 }
 
@@ -462,7 +462,7 @@ runGemmThroughput(int reps)
  *     property suite in tests/test_cycle_sim.cpp proves the two are
  *     bit-identical, so this measures pure implementation cost. The
  *     compare_bench.py bar is >= 10x; the shapes below sit around
- *     30-50x.
+ *     190-210x.
  *
  *  2. Per-sweep, CYCLE_SIM must stay tractable on a fig06-scale
  *     space through the session perf::GemmCache (mode-aware key):

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace acs {
 namespace dse {
@@ -46,12 +47,10 @@ parseShardSpec(const std::string &text)
     fatalIf(slash == std::string::npos,
             "shard spec must be i/n (e.g. 2/8): " + text);
     ShardSpec shard;
-    try {
-        shard.index = std::stoull(text.substr(0, slash));
-        shard.count = std::stoull(text.substr(slash + 1));
-    } catch (const std::exception &) {
-        fatal("shard spec must be i/n with numeric i, n: " + text);
-    }
+    shard.index = parseNumber<std::size_t>(
+        std::string_view(text).substr(0, slash), "shard spec index");
+    shard.count = parseNumber<std::size_t>(
+        std::string_view(text).substr(slash + 1), "shard spec count");
     fatalIf(shard.count == 0, "shard spec: n must be >= 1: " + text);
     fatalIf(shard.index >= shard.count,
             "shard spec: i must be < n: " + text);

@@ -305,32 +305,84 @@ process(const CycleModel &cm, Machine &m, int a, std::int64_t now,
 }
 
 /**
- * Drain every transition due at @p now: arrays in canonical order,
- * each array's same-cycle cascade (compute start -> next fill issue)
- * resolved before moving on. Both engines call exactly this, so
- * coalescing cannot reorder same-cycle work.
+ * Resolve array @p a's same-cycle cascade at @p now (compute start ->
+ * next fill issue): fire transitions until it is DONE or due later.
+ */
+void
+drainArray(const CycleModel &cm, Machine &m, int a, std::int64_t now,
+           bool *array0_fresh_fill)
+{
+    const ArrayState &st = m.arr[static_cast<std::size_t>(a)];
+    while (st.stage != Stage::DONE && st.due == now)
+        process(cm, m, a, now, array0_fresh_fill);
+}
+
+/**
+ * Drain every transition due at @p now in canonical order: arrays by
+ * index, each array's cascade resolved before moving on. The naive
+ * tick polls this every cycle; the coalesced loop reproduces the same
+ * order from its due heap.
  */
 void
 drainCycle(const CycleModel &cm, Machine &m, std::int64_t now,
            bool *array0_fresh_fill)
 {
     const int n = static_cast<int>(m.arr.size());
-    for (int a = 0; a < n; ++a) {
-        ArrayState &st = m.arr[static_cast<std::size_t>(a)];
-        while (st.stage != Stage::DONE && st.due == now)
-            process(cm, m, a, now, array0_fresh_fill);
-    }
+    for (int a = 0; a < n; ++a)
+        drainArray(cm, m, a, now, array0_fresh_fill);
 }
 
-/** Earliest pending transition (m.live > 0 guarantees one exists). */
-std::int64_t
-nextDue(const Machine &m)
+/**
+ * The coalesced loop's queue: live arrays in a binary min-heap keyed
+ * by (due, array index).
+ *
+ * Popping in this order visits the arrays due at `now` by ascending
+ * index, which is drainCycle's canonical order: process() writes only
+ * the firing array's own `due` and never sets it below `now`, so no
+ * array can become due at `now` behind the heap's back, and a drained
+ * array re-enters strictly after every entry still due at `now`.
+ */
+struct DueEntry
 {
-    std::int64_t next = std::numeric_limits<std::int64_t>::max();
-    for (const ArrayState &st : m.arr)
-        if (st.stage != Stage::DONE)
-            next = std::min(next, st.due);
-    return next;
+    std::int64_t due;
+    int array;
+};
+
+bool
+dueBefore(const DueEntry &x, const DueEntry &y)
+{
+    return x.due < y.due || (x.due == y.due && x.array < y.array);
+}
+
+/** Restore heap order after the root entry was replaced. */
+void
+siftDown(std::vector<DueEntry> &heap)
+{
+    const std::size_t n = heap.size();
+    if (n == 0)
+        return;
+    const DueEntry e = heap[0];
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && dueBefore(heap[c + 1], heap[c]))
+            ++c;
+        if (!dueBefore(heap[c], e))
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = e;
+}
+
+/** Key every live array at its due (a sorted array is a heap). */
+void
+rekey(const Machine &m, std::vector<DueEntry> &heap)
+{
+    heap.clear();
+    for (std::size_t a = 0; a < m.arr.size(); ++a)
+        if (m.arr[a].stage != Stage::DONE)
+            heap.push_back({m.arr[a].due, static_cast<int>(a)});
+    std::sort(heap.begin(), heap.end(), dueBefore);
 }
 
 // ---- Periodic replay (the coalesced loop only) ------------------------
@@ -486,13 +538,15 @@ tryReplay(const CycleModel &cm, Machine &m, std::int64_t now,
  * Checkpoint hook: called after a coalesced pass in which array 0
  * began a fresh tile fill. Either matches an earlier snapshot (and
  * fast-forwards) or records this one.
+ *
+ * @return Whether it fast-forwarded (every clock moved).
  */
-void
+bool
 onCheckpoint(const CycleModel &cm, Machine &m, std::int64_t now,
              ReplayState &r)
 {
     if (!r.armed || r.spent)
-        return;
+        return false;
     std::vector<std::int64_t> sig = signature(m, now, r.phaseMod);
     const std::uint64_t h = hashSig(sig);
     const auto it = r.seen.find(h);
@@ -501,15 +555,16 @@ onCheckpoint(const CycleModel &cm, Machine &m, std::int64_t now,
             tryReplay(cm, m, now, it->second, r) > 0) {
             r.spent = true;
             r.seen.clear();
+            return true;
         }
-        return; // keep the earliest snapshot per hash
+        return false; // keep the earliest snapshot per hash
     }
     if (r.seen.size() >= ReplayState::MAX_CHECKPOINTS) {
         // No period found within the history budget: give up and
         // simulate live — slower, never wrong.
         r.armed = false;
         r.seen.clear();
-        return;
+        return false;
     }
     Checkpoint cp;
     cp.sig = std::move(sig);
@@ -519,6 +574,7 @@ onCheckpoint(const CycleModel &cm, Machine &m, std::int64_t now,
         cp.fillJob.push_back(st.fillJob);
     cp.stats = m.stats;
     r.seen.emplace(h, std::move(cp));
+    return false;
 }
 
 /** Shared validation, model build, event loop and accounting. */
@@ -547,13 +603,31 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
             ++ticks;
         }
     } else {
+        // Coalesced: jump to the earliest due array and pop every
+        // array due that cycle, in (due, index) order.
         ReplayState replay = makeReplay(cm, mm);
-        while (m.live > 0) {
-            const std::int64_t now = nextDue(m);
+        std::vector<DueEntry> heap;
+        rekey(m, heap);
+        while (!heap.empty()) {
+            const std::int64_t now = heap.front().due;
             bool fresh = false;
-            drainCycle(cm, m, now, replay.armed ? &fresh : nullptr);
-            if (fresh)
-                onCheckpoint(cm, m, now, replay);
+            do {
+                DueEntry &top = heap.front();
+                drainArray(cm, m, top.array, now,
+                           replay.armed ? &fresh : nullptr);
+                const ArrayState &st =
+                    m.arr[static_cast<std::size_t>(top.array)];
+                if (st.stage == Stage::DONE) {
+                    top = heap.back();
+                    heap.pop_back();
+                } else {
+                    top.due = st.due;
+                }
+                siftDown(heap);
+            } while (!heap.empty() && heap.front().due == now);
+            // Replay shifts every clock by one amount: re-key once.
+            if (fresh && onCheckpoint(cm, m, now, replay))
+                rekey(m, heap);
         }
     }
 

@@ -17,10 +17,15 @@
  * A naive per-cycle walk of this model is 10^3-10^4x slower than
  * TILE_SIM; three layers make it sweep-capable:
  *
- *  - event coalescing: advance straight to the earliest pending
- *    pipeline transition and drain all same-cycle completions in one
- *    canonical pass, instead of polling every array every cycle
- *    (simulateGemmCyclesTick, kept as the bit-exact reference);
+ *  - event coalescing: a binary min-heap of live arrays keyed by
+ *    (due, array index) jumps straight to the earliest pending
+ *    pipeline transition and pops every array due that cycle, instead
+ *    of polling every array every cycle (simulateGemmCyclesTick, kept
+ *    as the bit-exact reference). The heap order is the tick's
+ *    canonical drain order: a transition rewrites only the firing
+ *    array's own due time and never sets it in the past, so the
+ *    arrays due at a cycle are exactly the heap entries at that
+ *    cycle, popped by ascending index;
  *  - per-tile-class replay: after warmup the tile stream is periodic
  *    — interior/edge/corner classes recur with a fixed column phase —
  *    so the engine snapshots the relative machine state at tile

@@ -79,8 +79,9 @@ expectMatchesExhaustive(const SweepSpace &space, const core::Workload &w,
     EXPECT_EQ(res.bestTbt->config.name, exhaustive.bestTbt->config.name);
     EXPECT_EQ(res.spacePoints, space.feasibleSize());
     EXPECT_LE(res.evaluated, res.shardPoints);
-    if (max_fraction < 1.0)
+    if (max_fraction < 1.0) {
         EXPECT_LT(res.fractionEvaluated, max_fraction);
+    }
 }
 
 // ---- exactness on the paper's spaces ---------------------------------------
@@ -285,6 +286,8 @@ TEST(ShardSpec, ParseAndRange)
     EXPECT_EQ(s.count, 8u);
     EXPECT_THROW(parseShardSpec("8/8"), FatalError);
     EXPECT_THROW(parseShardSpec("nope"), FatalError);
+    EXPECT_THROW(parseShardSpec("1x/8"), FatalError);
+    EXPECT_THROW(parseShardSpec("-1/8"), FatalError);
 
     // Ranges partition [0, outers) contiguously, remainder up front.
     std::size_t covered = 0;

@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for acs_common: logging, statistics, tables, scatter
- * plots, and the deterministic RNG.
+ * Unit tests for acs_common: logging, strict number parsing,
+ * statistics, tables, scatter plots, and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/flat_memo.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/scatter.hh"
@@ -68,6 +71,74 @@ TEST(Logging, WarnAndInformDoNotThrow)
     setVerbose(false);
     EXPECT_NO_THROW(inform("suppressed"));
     setVerbose(true);
+}
+
+// ---- strict number parsing -----------------------------------------------
+
+/** The FatalError message parseNumber<T> raises for @p text. */
+template <typename T>
+std::string
+rejection(const std::string &text)
+{
+    try {
+        parseNumber<T>(text, "--flag");
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    ADD_FAILURE() << "'" << text << "' was accepted";
+    return "";
+}
+
+TEST(ParseNumber, AcceptsWholeFiniteNumbers)
+{
+    EXPECT_EQ(parseNumber<double>("2400", "x"), 2400.0);
+    EXPECT_EQ(parseNumber<double>("-0.5", "x"), -0.5);
+    EXPECT_EQ(parseNumber<double>("1e-3", "x"), 1e-3);
+    EXPECT_EQ(parseNumber<int>("-7", "x"), -7);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615", "x"),
+              18446744073709551615ull);
+}
+
+TEST(ParseNumber, RejectsTrailingGarbage)
+{
+    EXPECT_EQ(rejection<double>("24x"),
+              "fatal: --flag: '24x' has trailing characters");
+    EXPECT_EQ(rejection<int>("12.5"),
+              "fatal: --flag: '12.5' has trailing characters");
+    EXPECT_EQ(rejection<double>("1 "),
+              "fatal: --flag: '1 ' has trailing characters");
+    EXPECT_EQ(rejection<int>("0x10"),
+              "fatal: --flag: '0x10' has trailing characters");
+}
+
+TEST(ParseNumber, RejectsEmptyAndNonNumbers)
+{
+    EXPECT_EQ(rejection<double>(""), "fatal: --flag: '' is empty");
+    EXPECT_EQ(rejection<double>("abc"), "fatal: --flag: 'abc' is not a number");
+    EXPECT_EQ(rejection<double>(" 1"), "fatal: --flag: ' 1' is not a number");
+    EXPECT_EQ(rejection<int>("+1"), "fatal: --flag: '+1' is not a number");
+    EXPECT_EQ(rejection<std::size_t>("-1"),
+              "fatal: --flag: '-1' is not a number");
+}
+
+TEST(ParseNumber, RejectsNanAndInfinity)
+{
+    for (const char *text : {"nan", "NaN", "-nan", "inf", "-inf",
+                             "infinity"}) {
+        EXPECT_EQ(rejection<double>(text),
+                  std::string("fatal: --flag: '") + text + "' is not finite");
+    }
+    EXPECT_EQ(rejection<int>("nan"), "fatal: --flag: 'nan' is not a number");
+}
+
+TEST(ParseNumber, RejectsOverflow)
+{
+    EXPECT_EQ(rejection<double>("1e999"),
+              "fatal: --flag: '1e999' is out of range");
+    EXPECT_EQ(rejection<int>("2147483648"),
+              "fatal: --flag: '2147483648' is out of range");
+    EXPECT_EQ(rejection<std::uint64_t>("18446744073709551616"),
+              "fatal: --flag: '18446744073709551616' is out of range");
 }
 
 // ---- units -------------------------------------------------------------

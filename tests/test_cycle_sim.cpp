@@ -186,6 +186,56 @@ TEST(CycleProperty, EdgeShapesMatchNaiveTick)
     }
 }
 
+TEST(CycleProperty, ManyLockstepArraysMatchNaiveTick)
+{
+    // 144 arrays (the fig06 designs run 408-415) all fall due at cycle
+    // 0 and, on identical tiles, keep tying until bank and L2
+    // contention staggers them. The coalesced loop's (due, index) heap
+    // order must reproduce the tick's canonical drain exactly: same
+    // bank and L2 arbitration, same event count. Every shape has more jobs than arrays, so
+    // replay is armed; the long ones fast-forward, which re-keys the
+    // heap mid-run.
+    hw::HardwareConfig cfg = hw::modeledA100();
+    cfg.name = "lockstep-144";
+    cfg.coreCount = 72;
+    cfg.lanesPerCore = 2;
+    cfg.l1BytesPerCore = 32.0 * units::KIB;
+    cfg.validate();
+    ASSERT_GE(cfg.totalSystolicArrays(), 128);
+
+    const struct
+    {
+        long m, n, k, batch;
+    } shapes[] = {
+        {512, 2048, 256, 1},   // ~6 tiles per array: stays live
+        {8192, 4096, 128, 1},  // long prefill block: replays
+        {8191, 2047, 64, 1},   // remainders on both axes: replays
+        {100, 300, 128, 6},    // batched remainders, barely > arrays
+        {256, 1024, 128, 32},  // batched stream: stays live
+        {200, 200, 64, 256},   // batched stream: replays
+        {33, 1000, 64, 4},     // decode-like skinny rows, batched
+    };
+    std::int64_t replayed_unbatched = 0;
+    std::int64_t replayed_batched = 0;
+    for (const auto &s : shapes) {
+        const model::Op op = weightGemm(s.m, s.n, s.k, s.batch);
+        const std::string label =
+            cfg.name + " m=" + std::to_string(s.m) +
+            " n=" + std::to_string(s.n) + " k=" + std::to_string(s.k) +
+            " b=" + std::to_string(s.batch);
+        const CycleStats ref = simulateGemmCyclesTick(cfg, op);
+        const CycleStats fast = simulateGemmCycles(cfg, op);
+        ASSERT_GT(fast.totalTiles, cfg.totalSystolicArrays()) << label;
+        expectStatsBitIdentical(fast, ref, label + " [coalesced vs tick]");
+        EXPECT_EQ(ref.replayedTiles, 0) << label;
+        (s.batch > 1 ? replayed_batched : replayed_unbatched) +=
+            fast.replayedTiles;
+    }
+    // Both replay flavours must exercise the fast-forward + re-key.
+    EXPECT_GT(replayed_unbatched, 0);
+    EXPECT_GT(replayed_batched, 0);
+}
+
 TEST(CycleSim, ReplayFiresOnSteadyStateAndStaysExact)
 {
     // Shapes with a long periodic interior on the full A100: replay

@@ -31,15 +31,18 @@
  * modes — output is byte-identical either way (docs/PERF.md).
  */
 
+#include <cstdint>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "coevo/arms_race.hh"
+#include "common/parse.hh"
 #include "core/acs.hh"
 
 using namespace acs;
@@ -133,9 +136,10 @@ cmdClassify(const std::vector<std::string> &args)
         return usage();
     policy::DeviceSpec spec;
     spec.name = "cli-device";
-    spec.tpp = std::stod(args[0]);
-    spec.deviceBandwidthGBps = std::stod(args[1]);
-    spec.dieAreaMm2 = std::stod(args[2]);
+    spec.tpp = parseNumber<double>(args[0], "classify <tpp>");
+    spec.deviceBandwidthGBps =
+        parseNumber<double>(args[1], "classify <devbw_gbps>");
+    spec.dieAreaMm2 = parseNumber<double>(args[2], "classify <area_mm2>");
     spec.market = args.size() > 3 && args[3] == "consumer"
                       ? policy::MarketSegment::CONSUMER
                       : policy::MarketSegment::DATA_CENTER;
@@ -223,7 +227,7 @@ cmdSweep(const std::vector<std::string> &args)
     if (args.size() < 2)
         return usage();
     const core::Workload workload = core::workloadByName(args[0]);
-    const double tpp = std::stod(args[1]);
+    const double tpp = parseNumber<double>(args[1], "sweep <tpp>");
     const core::SanctionsStudy study(g_perf_params);
     const auto baseline = study.evaluateBaseline(workload);
     const auto designs = study.runSweep(
@@ -339,15 +343,17 @@ cmdDse(const std::vector<std::string> &args)
         if (arg.rfind("--space=", 0) == 0) {
             space_name = arg.substr(8);
         } else if (arg.rfind("--tpp=", 0) == 0) {
-            tpp = std::stod(arg.substr(6));
+            tpp = parseNumber<double>(arg.substr(6), "--tpp");
         } else if (arg.rfind("--shard=", 0) == 0) {
             acfg.shard = dse::parseShardSpec(arg.substr(8));
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             ckpt_dir = arg.substr(13);
         } else if (arg.rfind("--ckpt-every=", 0) == 0) {
-            acfg.checkpointEveryPoints = std::stoull(arg.substr(13));
+            acfg.checkpointEveryPoints =
+                parseNumber<std::size_t>(arg.substr(13), "--ckpt-every");
         } else if (arg.rfind("--max-evals=", 0) == 0) {
-            acfg.maxEvaluations = std::stoull(arg.substr(12));
+            acfg.maxEvaluations =
+                parseNumber<std::size_t>(arg.substr(12), "--max-evals");
         } else if (arg == "--merge") {
             merge = true;
         } else {
@@ -401,17 +407,20 @@ cmdCoevo(const std::vector<std::string> &args)
     coevo::ArmsRaceConfig cfg;
     for (const std::string &arg : args) {
         if (arg.rfind("--rounds=", 0) == 0) {
-            cfg.rounds = std::stoi(arg.substr(9));
+            cfg.rounds = parseNumber<int>(arg.substr(9), "--rounds");
         } else if (arg.rfind("--collateral-budget=", 0) == 0) {
-            cfg.collateralBudget = std::stod(arg.substr(20));
+            cfg.collateralBudget = parseNumber<double>(
+                arg.substr(20), "--collateral-budget");
         } else if (arg.rfind("--mechanism=", 0) == 0) {
             cfg.mechanism = coevo::mechanismFromString(arg.substr(12));
         } else if (arg.rfind("--seed=", 0) == 0) {
-            cfg.seed = std::stoull(arg.substr(7));
+            cfg.seed =
+                parseNumber<std::uint64_t>(arg.substr(7), "--seed");
         } else if (arg.rfind("--workload=", 0) == 0) {
             cfg.workload = arg.substr(11);
         } else if (arg.rfind("--max-evals=", 0) == 0) {
-            cfg.maxEvaluations = std::stoull(arg.substr(12));
+            cfg.maxEvaluations =
+                parseNumber<std::size_t>(arg.substr(12), "--max-evals");
         } else {
             std::cerr << "unknown coevo option '" << arg << "'\n";
             return usage();
@@ -471,16 +480,23 @@ cmdMetrics(const std::vector<std::string> &args)
     return 0;
 }
 
-/** Split "a,b,c" into doubles (fatal on parse errors via stod). */
+/**
+ * Split "a,b,c" into finite doubles, fatal naming @p flag on any bad
+ * field (an empty list or an empty field included).
+ */
 std::vector<double>
-parseDoubleList(const std::string &text)
+parseDoubleList(const std::string &text, const std::string &flag)
 {
     std::vector<double> values;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        values.push_back(std::stod(item));
-    return values;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = text.find(',', start);
+        values.push_back(parseNumber<double>(
+            std::string_view(text).substr(start, comma - start), flag));
+        if (comma == std::string::npos)
+            return values;
+        start = comma + 1;
+    }
 }
 
 /** Map a preset name or config.kv path to a device. */
@@ -515,7 +531,8 @@ parseFleetSpec(const std::string &text)
                   item + "'");
         FleetEntry e;
         e.device = item.substr(0, colon);
-        e.replicas = std::stoi(item.substr(colon + 1));
+        e.replicas = parseNumber<int>(item.substr(colon + 1),
+                                      "--fleet replica count");
         fatalIf(e.replicas < 1,
                 "--fleet replica counts must be >= 1");
         entries.push_back(std::move(e));
@@ -658,7 +675,8 @@ cmdServeSim(const std::vector<std::string> &args)
         } else if (arg.rfind("--trace=", 0) == 0) {
             copts.traceFile = arg.substr(8);
         } else if (arg.rfind("--diurnal=", 0) == 0) {
-            const auto parts = parseDoubleList(arg.substr(10));
+            const auto parts =
+                parseDoubleList(arg.substr(10), "--diurnal");
             if (parts.size() != 2) {
                 std::cerr
                     << "--diurnal expects <peak_trough>,<period_s>\n";
@@ -668,11 +686,13 @@ cmdServeSim(const std::vector<std::string> &args)
             copts.peakToTrough = parts[0];
             copts.periodS = parts[1];
         } else if (arg.rfind("--rate=", 0) == 0) {
-            scfg.ratesPerS = parseDoubleList(arg.substr(7));
+            scfg.ratesPerS = parseDoubleList(arg.substr(7), "--rate");
         } else if (arg.rfind("--seed=", 0) == 0) {
-            scfg.seed = std::stoull(arg.substr(7));
+            scfg.seed =
+                parseNumber<std::uint64_t>(arg.substr(7), "--seed");
         } else if (arg.rfind("--slo-p99=", 0) == 0) {
-            const auto bounds = parseDoubleList(arg.substr(10));
+            const auto bounds =
+                parseDoubleList(arg.substr(10), "--slo-p99");
             if (bounds.size() != 2) {
                 std::cerr << "--slo-p99 expects <ttft_s>,<tbt_s>\n";
                 return usage();
@@ -680,15 +700,17 @@ cmdServeSim(const std::vector<std::string> &args)
             scfg.slo.ttftP99MaxS = bounds[0];
             scfg.slo.tbtP99MaxS = bounds[1];
         } else if (arg.rfind("--demand=", 0) == 0) {
-            scfg.fleetRatePerS = std::stod(arg.substr(9));
+            scfg.fleetRatePerS =
+                parseNumber<double>(arg.substr(9), "--demand");
         } else if (arg.rfind("--prompt=", 0) == 0) {
-            scfg.promptLen =
-                sim::LengthDistribution::fixed(std::stoi(arg.substr(9)));
+            scfg.promptLen = sim::LengthDistribution::fixed(
+                parseNumber<int>(arg.substr(9), "--prompt"));
         } else if (arg.rfind("--output=", 0) == 0) {
-            scfg.outputLen =
-                sim::LengthDistribution::fixed(std::stoi(arg.substr(9)));
+            scfg.outputLen = sim::LengthDistribution::fixed(
+                parseNumber<int>(arg.substr(9), "--output"));
         } else if (arg.rfind("--horizon=", 0) == 0) {
-            scfg.horizonS = std::stod(arg.substr(10));
+            scfg.horizonS =
+                parseNumber<double>(arg.substr(10), "--horizon");
         } else if (arg.rfind("--", 0) == 0) {
             std::cerr << "unknown serve-sim option '" << arg << "'\n";
             return usage();
