@@ -35,10 +35,12 @@ namespace acs {
  *
  * @param text The characters to parse.
  * @param what Names the input in the error (e.g. "--horizon").
+ * @param base Digit base for integer types (e.g. 16 reads "ff", with
+ *             no "0x" prefix); floating-point types need 10.
  */
 template <typename T>
 T
-parseNumber(std::string_view text, std::string_view what)
+parseNumber(std::string_view text, std::string_view what, int base = 10)
 {
     static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>,
                   "parseNumber needs an integer or floating-point type");
@@ -50,7 +52,15 @@ parseNumber(std::string_view text, std::string_view what)
         reject("is empty");
     const char *const last = text.data() + text.size();
     T value{};
-    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    std::from_chars_result res;
+    if constexpr (std::is_integral_v<T>) {
+        res = std::from_chars(text.data(), last, value, base);
+    } else {
+        if (base != 10)
+            panic("parseNumber: floating point needs base 10");
+        res = std::from_chars(text.data(), last, value);
+    }
+    const auto [ptr, ec] = res;
     if (ec == std::errc::result_out_of_range)
         reject("is out of range");
     else if (ec != std::errc())

@@ -4,7 +4,8 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -27,15 +28,37 @@ bitsDouble(std::uint64_t bits)
     return std::bit_cast<double>(bits);
 }
 
-std::uint64_t
-parseHex64(const std::string &text, const std::string &what)
+/** Shortest point line the writer can emit: "p 0 0 0 0\n". */
+constexpr std::size_t MIN_POINT_LINE_BYTES = 10;
+
+/** parseNumber() with the file position and field name in its error. */
+template <typename T>
+T
+field(std::string_view text, const std::string &where, const char *name,
+      int base = 10)
 {
-    std::uint64_t v = 0;
-    std::istringstream in(text);
-    in >> std::hex >> v;
-    fatalIf(in.fail() || !in.eof(),
-            "checkpoint: malformed hex field (" + what + "): " + text);
-    return v;
+    return parseNumber<T>(text, where + ": " + name, base);
+}
+
+/** Split @p line on single spaces; exactly @p count fields or fatal. */
+std::vector<std::string_view>
+splitFields(std::string_view line, std::size_t count,
+            const std::string &where)
+{
+    std::vector<std::string_view> fields;
+    std::size_t pos = 0;
+    while (true) {
+        const std::size_t space = line.find(' ', pos);
+        fields.push_back(line.substr(pos, space - pos));
+        if (space == std::string_view::npos)
+            break;
+        pos = space + 1;
+    }
+    if (fields.size() != count)
+        fatal(where + ": expected " + std::to_string(count) +
+              " space-separated fields, got " +
+              std::to_string(fields.size()));
+    return fields;
 }
 
 } // anonymous namespace
@@ -106,70 +129,86 @@ writeCheckpoint(const std::string &path, const Checkpoint &ck)
 bool
 readCheckpoint(const std::string &path, Checkpoint *out)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return false;
+    in.seekg(0, std::ios::end);
+    const std::streamoff file_bytes = in.tellg();
+    in.seekg(0, std::ios::beg);
+    fatalIf(file_bytes < 0, "checkpoint: cannot size file: " + path);
 
     Checkpoint ck;
     std::string line;
-    const auto next = [&](const char *what) {
-        fatalIf(!std::getline(in, line),
-                std::string("checkpoint: truncated file (expected ") +
-                    what + "): " + path);
+    std::size_t line_no = 0;
+    // Errors name the file and the line they found: "<path>:<n>".
+    std::string at;
+    const auto next = [&](const char *what) -> const std::string & {
+        if (!std::getline(in, line))
+            fatal("checkpoint " + path + ": truncated after line " +
+                  std::to_string(line_no) + " (expected " + what + ")");
+        at = "checkpoint " + path + ":" + std::to_string(++line_no);
         return line;
     };
-    const auto expectKey = [&](const std::string &got,
-                               const std::string &key) -> std::string {
-        fatalIf(got.rfind(key + " ", 0) != 0,
-                "checkpoint: expected '" + key + " ...', got '" + got +
-                    "': " + path);
-        return got.substr(key.size() + 1);
+    const auto value = [&](const std::string &key) -> std::string_view {
+        if (next(key.c_str()).rfind(key + " ", 0) != 0)
+            fatal(at + ": expected '" + key + " ...', got '" + line + "'");
+        return std::string_view(line).substr(key.size() + 1);
     };
 
-    const std::string header = next("header");
-    fatalIf(header.rfind("acs-dse-checkpoint v", 0) != 0,
+    const std::string header_key = "acs-dse-checkpoint v";
+    fatalIf(next("header").rfind(header_key, 0) != 0,
             "checkpoint: not a checkpoint file: " + path);
-    ck.version = static_cast<std::uint32_t>(
-        std::stoul(header.substr(std::string("acs-dse-checkpoint v")
-                                     .size())));
+    ck.version = field<std::uint32_t>(
+        std::string_view(line).substr(header_key.size()), at, "version");
     fatalIf(ck.version != CHECKPOINT_VERSION,
             "checkpoint: unsupported version " +
                 std::to_string(ck.version) + " (reader supports v" +
                 std::to_string(CHECKPOINT_VERSION) + "): " + path);
 
     ck.fingerprint =
-        parseHex64(expectKey(next("fingerprint"), "fingerprint"),
-                   "fingerprint");
-    {
-        std::istringstream sh(expectKey(next("shard"), "shard"));
-        sh >> ck.shard.index >> ck.shard.count;
-        fatalIf(sh.fail(), "checkpoint: malformed shard line: " + path);
-    }
+        field<std::uint64_t>(value("fingerprint"), at, "fingerprint", 16);
+    const auto shard = splitFields(value("shard"), 2, at);
+    ck.shard.index = field<std::size_t>(shard[0], at, "shard index");
+    ck.shard.count = field<std::size_t>(shard[1], at, "shard count");
     ck.spacePoints =
-        std::stoull(expectKey(next("space_points"), "space_points"));
-    ck.complete =
-        std::stoul(expectKey(next("complete"), "complete")) != 0;
-    ck.waves = std::stoull(expectKey(next("waves"), "waves"));
+        field<std::size_t>(value("space_points"), at, "space_points");
+    const int complete = field<int>(value("complete"), at, "complete");
+    if (complete != 0 && complete != 1)
+        fatal(at + ": complete must be 0 or 1");
+    ck.complete = complete == 1;
+    ck.waves = field<std::size_t>(value("waves"), at, "waves");
     const std::size_t n_points =
-        std::stoull(expectKey(next("points"), "points"));
+        field<std::size_t>(value("points"), at, "points");
+
+    // Bound the declared count before reserving: a forged count must be
+    // a named error, not an allocation failure.
+    if (n_points > ck.spacePoints)
+        fatal(at + ": points " + std::to_string(n_points) +
+              " exceeds space_points " + std::to_string(ck.spacePoints));
+    const std::streamoff pos = in.tellg();
+    fatalIf(pos < 0 || pos > file_bytes,
+            "checkpoint: file changed while read: " + path);
+    const std::size_t bytes_left =
+        static_cast<std::size_t>(file_bytes - pos);
+    if (n_points > bytes_left / MIN_POINT_LINE_BYTES)
+        fatal(at + ": points " + std::to_string(n_points) +
+              " cannot fit in the " + std::to_string(bytes_left) +
+              " bytes left in the file");
 
     ck.points.reserve(n_points);
     for (std::size_t i = 0; i < n_points; ++i) {
-        std::istringstream ps(next("point"));
-        std::string tag, ttft_hex, tbt_hex, flags_hex;
+        const auto f = splitFields(next("point"), 5, at);
+        if (f[0] != "p")
+            fatal(at + ": expected a point line 'p ...'");
         CheckpointPoint p;
-        ps >> tag >> p.index >> ttft_hex >> tbt_hex >> flags_hex;
-        fatalIf(ps.fail() || tag != "p",
-                "checkpoint: malformed point line " + std::to_string(i) +
-                    ": " + path);
-        p.ttftS = bitsDouble(parseHex64(ttft_hex, "ttft"));
-        p.tbtS = bitsDouble(parseHex64(tbt_hex, "tbt"));
-        p.flags =
-            static_cast<std::uint32_t>(parseHex64(flags_hex, "flags"));
+        p.index = field<std::size_t>(f[1], at, "index");
+        p.ttftS = bitsDouble(field<std::uint64_t>(f[2], at, "ttft", 16));
+        p.tbtS = bitsDouble(field<std::uint64_t>(f[3], at, "tbt", 16));
+        p.flags = field<std::uint32_t>(f[4], at, "flags", 16);
         ck.points.push_back(p);
     }
-    fatalIf(next("end") != "end",
-            "checkpoint: missing end marker: " + path);
+    if (next("end") != "end")
+        fatal(at + ": missing end marker");
 
     *out = std::move(ck);
     return true;

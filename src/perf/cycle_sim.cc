@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <memory>
+#include <numeric>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -68,12 +71,20 @@ struct CycleModel
     int banks = 1;              //!< DRAM bank timelines
     int window = 1;             //!< max outstanding requests per array
 
-    int
-    classOf(std::int64_t job) const
+    // An array's next job is `arrays` further on, so its grid slot and
+    // tile column advance by fixed steps and its bank cursor ends each
+    // fill `fillReqs % banks` past where it started: no per-tile
+    // division.
+    std::int64_t slotStep = 0; //!< arrays % grid
+    std::int64_t colStep = 0;  //!< arrays % nTiles
+    int bankRewind = 0;        //!< fillReqs % banks
+
+    /** Class of the tile at grid @p slot, tile column @p col. */
+    std::uint8_t
+    classAt(std::int64_t slot, std::int64_t col) const
     {
-        const std::int64_t g = job % grid;
-        const bool m_edge = hasMRem && g / nTiles == mTiles - 1;
-        const bool n_edge = hasNRem && g % nTiles == nTiles - 1;
+        const bool m_edge = hasMRem && slot >= grid - nTiles;
+        const bool n_edge = hasNRem && col == nTiles - 1;
         return m_edge ? (n_edge ? CORNER : M_EDGE)
                       : (n_edge ? N_EDGE : INTERIOR);
     }
@@ -170,6 +181,10 @@ buildModel(const hw::HardwareConfig &cfg, const model::Op &op,
         ELEM_BYTES;
     cm.overlapOk = 2.0 * static_cast<double>(footprint) <=
                    cfg.l1BytesPerLane();
+
+    cm.slotStep = cm.arrays % cm.grid;
+    cm.colStep = cm.arrays % cm.nTiles;
+    cm.bankRewind = static_cast<int>(cm.fillReqs % cm.banks);
     return cm;
 }
 
@@ -185,12 +200,43 @@ enum class Stage : std::uint8_t
 struct ArrayState
 {
     Stage stage = Stage::DONE;
+    std::uint8_t tileClass = INTERIOR; //!< class of fillJob's tile
+    int bank = 0; //!< next request's bank: (a + reqsDone) % banks
     std::int64_t due = 0;         //!< when the pending transition fires
     std::int64_t fillJob = 0;     //!< job being filled (global index)
     std::int64_t reqsDone = 0;    //!< DRAM requests retired for the fill
     std::int64_t spadReady = 0;   //!< when the fill lands in scratchpad
     std::int64_t computeFree = 0; //!< when the array's MACs go idle
+    std::int64_t slot = 0;        //!< fillJob % grid
+    std::int64_t col = 0;         //!< fillJob's tile column
 };
+
+/** Point @p st at @p job, deriving its slot, column and class. */
+void
+setJob(const CycleModel &cm, ArrayState &st, std::int64_t job)
+{
+    st.fillJob = job;
+    st.slot = job % cm.grid;
+    st.col = st.slot % cm.nTiles;
+    st.tileClass = cm.classAt(st.slot, st.col);
+}
+
+/** Advance @p st to its next job (fillJob + arrays) by fixed steps. */
+void
+nextJob(const CycleModel &cm, ArrayState &st)
+{
+    st.fillJob += cm.arrays;
+    st.slot += cm.slotStep;
+    if (st.slot >= cm.grid)
+        st.slot -= cm.grid;
+    st.col += cm.colStep;
+    if (st.col >= cm.nTiles)
+        st.col -= cm.nTiles;
+    st.tileClass = cm.classAt(st.slot, st.col);
+    st.bank -= cm.bankRewind;
+    if (st.bank < 0)
+        st.bank += cm.banks;
+}
 
 /** The full mutable simulation state both engines advance. */
 struct Machine
@@ -214,7 +260,8 @@ initMachine(const CycleModel &cm, Machine &m)
         ArrayState &st = m.arr[static_cast<std::size_t>(a)];
         st.stage = Stage::FILL_ISSUE;
         st.due = 0;
-        st.fillJob = a;
+        setJob(cm, st, a);
+        st.bank = a % cm.banks;
     }
     m.live = active;
     m.stats.tileM = cm.tileM;
@@ -244,15 +291,18 @@ process(const CycleModel &cm, Machine &m, int a, std::int64_t now,
         const std::int64_t todo = std::min<std::int64_t>(
             cm.window, cm.fillReqs - st.reqsDone);
         std::int64_t group_end = now;
+        std::int64_t queued = 0;
+        int bank = st.bank;
         for (std::int64_t i = 0; i < todo; ++i) {
-            const std::size_t bank = static_cast<std::size_t>(
-                (a + st.reqsDone + i) % cm.banks);
-            const std::int64_t start =
-                std::max(now, m.bankFree[bank]);
-            m.stats.dramQueueCycles += start - now;
-            m.bankFree[bank] = start + cm.svcCycles;
-            group_end = std::max(group_end, start + cm.svcCycles);
+            std::int64_t &free = m.bankFree[static_cast<std::size_t>(bank)];
+            const std::int64_t start = std::max(now, free);
+            queued += start - now;
+            free = start + cm.svcCycles;
+            group_end = std::max(group_end, free);
+            bank = bank + 1 == cm.banks ? 0 : bank + 1;
         }
+        m.stats.dramQueueCycles += queued;
+        st.bank = bank;
         st.reqsDone += todo;
         st.stage = st.reqsDone < cm.fillReqs ? Stage::FILL_ISSUE
                                              : Stage::FILL_L2;
@@ -262,7 +312,7 @@ process(const CycleModel &cm, Machine &m, int a, std::int64_t now,
       case Stage::FILL_L2: {
         // Responses drained; the fill occupies the shared
         // L2->scratchpad pipe (one fill at a time, FIFO by due time).
-        const int c = cm.classOf(st.fillJob);
+        const int c = st.tileClass;
         const std::int64_t start = std::max(now, m.l2Free);
         m.stats.l2QueueCycles += start - now;
         m.l2Free = start + cm.l2Cycles[c];
@@ -274,17 +324,16 @@ process(const CycleModel &cm, Machine &m, int a, std::int64_t now,
       case Stage::COMPUTE: {
         // Compute starts; any gap since the MACs went idle was spent
         // waiting on operands.
-        const int c = cm.classOf(st.fillJob);
+        const int c = st.tileClass;
         m.stats.fillStallCycles += now - st.computeFree;
         st.computeFree = now + cm.computeCycles[c];
         m.stats.computeBusyCycles += cm.computeCycles[c];
         m.makespan = std::max(m.makespan, st.computeFree);
-        const std::int64_t next = st.fillJob + cm.arrays;
-        if (next >= cm.jobs) {
+        if (st.fillJob + cm.arrays >= cm.jobs) {
             st.stage = Stage::DONE;
             --m.live;
         } else {
-            st.fillJob = next;
+            nextJob(cm, st);
             st.reqsDone = 0;
             st.spadReady = 0;
             st.stage = Stage::FILL_ISSUE;
@@ -321,7 +370,7 @@ drainArray(const CycleModel &cm, Machine &m, int a, std::int64_t now,
  * Drain every transition due at @p now in canonical order: arrays by
  * index, each array's cascade resolved before moving on. The naive
  * tick polls this every cycle; the coalesced loop reproduces the same
- * order from its due heap.
+ * order from its due tree.
  */
 void
 drainCycle(const CycleModel &cm, Machine &m, std::int64_t now,
@@ -333,56 +382,91 @@ drainCycle(const CycleModel &cm, Machine &m, std::int64_t now,
 }
 
 /**
- * The coalesced loop's queue: live arrays in a binary min-heap keyed
- * by (due, array index).
+ * The coalesced loop's queue: a loser tree (tournament tree) over the
+ * arrays, keyed by packed integers `due << IDX_BITS | array`, so one
+ * unsigned compare orders arrays by (due, array index).
  *
- * Popping in this order visits the arrays due at `now` by ascending
- * index, which is drainCycle's canonical order: process() writes only
- * the firing array's own `due` and never sets it below `now`, so no
- * array can become due at `now` behind the heap's back, and a drained
- * array re-enters strictly after every entry still due at `now`.
+ * Leaf a holds array a's key, DONE_KEY once it has no job left (it then
+ * loses every match, and the loop ends when DONE_KEY wins). Each inner
+ * node keeps the loser of the match played there and node[0] the
+ * overall winner. The loop only ever re-keys the winner, which replays
+ * the matches on that array's leaf-to-root path against the stored
+ * losers: log2(leaves) compares and conditional moves down a path
+ * whose addresses are known up front, where a heap's sift-down has to
+ * find its path one level at a time and exits on a mispredicted
+ * branch.
+ *
+ * Popping winners visits the arrays due at `now` by ascending index,
+ * which is drainCycle's canonical order: process() writes only the
+ * firing array's own `due` and never sets it below `now`, so no array
+ * can become due at `now` behind the tree's back, and a drained array
+ * re-enters strictly after every entry still due at `now`.
  */
-struct DueEntry
+constexpr int IDX_BITS = 20;
+constexpr std::uint64_t IDX_MASK = (std::uint64_t{1} << IDX_BITS) - 1;
+constexpr std::uint64_t DONE_KEY = ~std::uint64_t{0};
+/** Largest due a key can hold; DONE_KEY's due field is reserved. */
+constexpr std::uint64_t MAX_DUE = (DONE_KEY >> IDX_BITS) - 1;
+
+struct DueTree
 {
-    std::int64_t due;
-    int array;
+    std::vector<std::uint64_t> node; //!< [0] winner, [1, leaves) losers
+    std::size_t leaves = 1;          //!< power of two >= arrays
 };
 
-bool
-dueBefore(const DueEntry &x, const DueEntry &y)
+[[noreturn, gnu::cold, gnu::noinline]] void
+dueOverflow(std::int64_t due, const std::string &gemm)
 {
-    return x.due < y.due || (x.due == y.due && x.array < y.array);
+    fatal("simulateGemmCycles: due time " + std::to_string(due) +
+          " exceeds the event key's " + std::to_string(MAX_DUE) +
+          "-cycle range in " + gemm);
 }
 
-/** Restore heap order after the root entry was replaced. */
-void
-siftDown(std::vector<DueEntry> &heap)
+/** Key array @p a at @p due; a due past MAX_DUE is a fatal error. */
+inline std::uint64_t
+packKey(std::int64_t due, int a, const std::string &gemm)
 {
-    const std::size_t n = heap.size();
-    if (n == 0)
-        return;
-    const DueEntry e = heap[0];
-    std::size_t i = 0;
-    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
-        if (c + 1 < n && dueBefore(heap[c + 1], heap[c]))
-            ++c;
-        if (!dueBefore(heap[c], e))
-            break;
-        heap[i] = heap[c];
-        i = c;
+    if (static_cast<std::uint64_t>(due) > MAX_DUE) [[unlikely]]
+        dueOverflow(due, gemm);
+    return static_cast<std::uint64_t>(due) << IDX_BITS |
+           static_cast<std::uint64_t>(a);
+}
+
+/** Re-key the winner, array @p a, to @p k and replay its matches. */
+inline void
+replaceWinner(DueTree &t, int a, std::uint64_t k)
+{
+    std::uint64_t *const node = t.node.data();
+    for (std::size_t n = (t.leaves + static_cast<std::size_t>(a)) / 2;
+         n > 0; n /= 2) {
+        const std::uint64_t loser = node[n];
+        const bool beaten = loser < k;
+        node[n] = beaten ? k : loser;
+        k = beaten ? loser : k;
     }
-    heap[i] = e;
+    node[0] = k;
 }
 
-/** Key every live array at its due (a sorted array is a heap). */
+/** Play the whole tournament over every array's current key. */
 void
-rekey(const Machine &m, std::vector<DueEntry> &heap)
+rekey(const Machine &m, DueTree &t, const std::string &gemm)
 {
-    heap.clear();
+    std::size_t leaves = 1;
+    while (leaves < m.arr.size())
+        leaves *= 2;
+    // win[n]: the winner below node n; leaf a sits at leaves + a.
+    std::vector<std::uint64_t> win(2 * leaves, DONE_KEY);
     for (std::size_t a = 0; a < m.arr.size(); ++a)
         if (m.arr[a].stage != Stage::DONE)
-            heap.push_back({m.arr[a].due, static_cast<int>(a)});
-    std::sort(heap.begin(), heap.end(), dueBefore);
+            win[leaves + a] =
+                packKey(m.arr[a].due, static_cast<int>(a), gemm);
+    t.leaves = leaves;
+    t.node.assign(leaves, DONE_KEY);
+    for (std::size_t n = leaves - 1; n > 0; --n) {
+        win[n] = std::min(win[2 * n], win[2 * n + 1]);
+        t.node[n] = std::max(win[2 * n], win[2 * n + 1]);
+    }
+    t.node[0] = win[1];
 }
 
 // ---- Periodic replay (the coalesced loop only) ------------------------
@@ -404,9 +488,8 @@ rekey(const Machine &m, std::vector<DueEntry> &heap)
 
 struct Checkpoint
 {
-    std::vector<std::int64_t> sig;
+    std::size_t slot = 0; //!< its signature and fillJobs: slots[slot]
     std::int64_t now = 0;
-    std::vector<std::int64_t> fillJob;
     CycleStats stats;
 };
 
@@ -416,6 +499,16 @@ struct ReplayState
     bool spent = false;          //!< one fast-forward per GEMM
     std::int64_t phaseMod = 1;   //!< job phase that fixes the class
     std::int64_t safeLimit = 0;  //!< first job replay must not reach
+    /** Array 0's last job at which a snapshot can still fast-forward. */
+    std::int64_t lastUsefulJob = 0;
+    std::size_t sigLen = 0;      //!< signature() values per snapshot
+    /**
+     * Snapshot k's signature, then every array's fillJob. Kept
+     * snapshots fill slots 0.. in order, so the next one is written
+     * straight into slot seen.size(), and one that is not kept leaves
+     * its slot to the next.
+     */
+    std::vector<std::unique_ptr<std::int64_t[]>> slots;
     std::unordered_map<std::uint64_t, Checkpoint> seen;
 
     /** Snapshot-history cap; past it, fall back to live simulation. */
@@ -439,53 +532,77 @@ makeReplay(const CycleModel &cm, const model::MatmulShape &mm)
         r.phaseMod = cm.nTiles;
         r.safeLimit = cm.hasMRem ? (cm.mTiles - 1) * cm.nTiles : cm.jobs;
     }
+    // Array 0 runs jobs 0, arrays, 2*arrays, ...; two snapshots can only
+    // match when its jobs agree modulo phaseMod, so it has moved on by
+    // a multiple of period = lcm(arrays, phaseMod) jobs. tryReplay then
+    // needs two more periods before safeLimit (k >= 1), so a snapshot
+    // whose array-0 job is past safeLimit - 1 - 2 * period can neither
+    // fast-forward nor be matched by a later one that does.
+    const std::int64_t per_array =
+        r.phaseMod / std::gcd<std::int64_t>(cm.arrays, r.phaseMod);
+    if (per_array > r.safeLimit / cm.arrays)
+        r.armed = false; // one period already overruns safeLimit
+    else
+        r.lastUsefulJob = r.safeLimit - 1 - 2 * per_array * cm.arrays;
+    r.sigLen = 5 * static_cast<std::size_t>(cm.arrays) +
+               static_cast<std::size_t>(cm.banks) + 2;
     return r;
 }
 
-std::vector<std::int64_t>
-signature(const Machine &m, std::int64_t now, std::int64_t phase_mod)
+/**
+ * Write the relative machine state at @p now to @p sig (sigLen values).
+ * An array's job phase, fillJob % phaseMod, is its slot (phaseMod ==
+ * grid) or its column (phaseMod == nTiles).
+ */
+void
+signature(const CycleModel &cm, const Machine &m, std::int64_t now,
+          std::int64_t phase_mod, std::int64_t *sig)
 {
-    std::vector<std::int64_t> sig;
-    sig.reserve(m.arr.size() * 5 + m.bankFree.size() + 2);
+    const bool by_col = phase_mod == cm.nTiles;
     for (const ArrayState &st : m.arr) {
-        sig.push_back(static_cast<std::int64_t>(st.stage));
+        *sig++ = static_cast<std::int64_t>(st.stage);
         if (st.stage == Stage::DONE) {
-            sig.push_back(0);
-            sig.push_back(-1);
-            sig.push_back(0);
+            *sig++ = 0;
+            *sig++ = -1;
+            *sig++ = 0;
         } else {
-            sig.push_back(st.due - now);
-            sig.push_back(st.fillJob % phase_mod);
-            sig.push_back(st.reqsDone);
+            *sig++ = st.due - now;
+            *sig++ = by_col ? st.col : st.slot;
+            *sig++ = st.reqsDone;
         }
         // Raw (unclamped): the compute-start transition reads the
         // true idle gap for the fill-stall tally.
-        sig.push_back(st.computeFree - now);
+        *sig++ = st.computeFree - now;
     }
     // Bank and pipe timelines are only ever read through
     // max(now, free), so anything at or before `now` is equivalent.
     for (const std::int64_t free : m.bankFree)
-        sig.push_back(std::max<std::int64_t>(free - now, 0));
-    sig.push_back(std::max<std::int64_t>(m.l2Free - now, 0));
-    sig.push_back(m.makespan - now);
-    return sig;
+        *sig++ = std::max<std::int64_t>(free - now, 0);
+    *sig++ = std::max<std::int64_t>(m.l2Free - now, 0);
+    *sig = m.makespan - now;
 }
 
+/** FNV-1a over four interleaved lanes (one chain would serialize). */
 std::uint64_t
-hashSig(const std::vector<std::int64_t> &sig)
+hashSig(const std::int64_t *sig, std::size_t len)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const std::int64_t v : sig) {
-        h ^= static_cast<std::uint64_t>(v);
-        h *= 1099511628211ull;
-    }
-    return h;
+    constexpr std::uint64_t PRIME = 1099511628211ull;
+    std::uint64_t h[4] = {14695981039346656037ull, 1, 2, 3};
+    std::size_t i = 0;
+    for (; i + 4 <= len; i += 4)
+        for (int lane = 0; lane < 4; ++lane)
+            h[lane] = (h[lane] ^ static_cast<std::uint64_t>(sig[i + lane])) *
+                      PRIME;
+    for (; i < len; ++i)
+        h[0] = (h[0] ^ static_cast<std::uint64_t>(sig[i])) * PRIME;
+    return ((h[0] * PRIME ^ h[1]) * PRIME ^ h[2]) * PRIME ^ h[3];
 }
 
 /** Apply k periods of (deltaT, deltaJobs, deltaStats). @return k. */
 std::int64_t
 tryReplay(const CycleModel &cm, Machine &m, std::int64_t now,
-          const Checkpoint &prev, const ReplayState &r)
+          const Checkpoint &prev, const std::int64_t *prev_fill_job,
+          const ReplayState &r)
 {
     const std::int64_t dt = now - prev.now;
     if (dt <= 0)
@@ -496,7 +613,7 @@ tryReplay(const CycleModel &cm, Machine &m, std::int64_t now,
     std::int64_t tiles_per_period = 0;
     for (std::size_t a = 0; a < n; ++a) {
         const ArrayState &st = m.arr[a];
-        dj[a] = st.fillJob - prev.fillJob[a];
+        dj[a] = st.fillJob - prev_fill_job[a];
         if (st.stage == Stage::DONE && dj[a] == 0)
             continue; // permanently idle (jobs < arrays)
         if (dj[a] <= 0)
@@ -509,13 +626,15 @@ tryReplay(const CycleModel &cm, Machine &m, std::int64_t now,
     if (k == std::numeric_limits<std::int64_t>::max() || k <= 0)
         return 0;
 
+    // The bank cursor depends only on (a, reqsDone), which replay
+    // leaves alone.
     const std::int64_t shift = k * dt;
     for (std::size_t a = 0; a < n; ++a) {
         ArrayState &st = m.arr[a];
         st.due += shift;
         st.computeFree += shift;
         st.spadReady += shift;
-        st.fillJob += k * dj[a];
+        setJob(cm, st, st.fillJob + k * dj[a]);
     }
     for (std::int64_t &free : m.bankFree)
         free += shift;
@@ -547,33 +666,45 @@ onCheckpoint(const CycleModel &cm, Machine &m, std::int64_t now,
 {
     if (!r.armed || r.spent)
         return false;
-    std::vector<std::int64_t> sig = signature(m, now, r.phaseMod);
-    const std::uint64_t h = hashSig(sig);
+    if (m.arr[0].fillJob > r.lastUsefulJob) {
+        // No snapshot from here on can fast-forward (see makeReplay).
+        r.armed = false;
+        r.seen.clear();
+        r.slots.clear();
+        return false;
+    }
+    const std::size_t slot = r.seen.size();
+    if (slot == r.slots.size())
+        r.slots.push_back(std::make_unique_for_overwrite<std::int64_t[]>(
+            r.sigLen + m.arr.size()));
+    std::int64_t *const sig = r.slots[slot].get();
+    signature(cm, m, now, r.phaseMod, sig);
+    const std::uint64_t h = hashSig(sig, r.sigLen);
     const auto it = r.seen.find(h);
     if (it != r.seen.end()) {
-        if (it->second.sig == sig &&
-            tryReplay(cm, m, now, it->second, r) > 0) {
+        const Checkpoint &prev = it->second;
+        const std::int64_t *const prev_sig = r.slots[prev.slot].get();
+        if (std::equal(sig, sig + r.sigLen, prev_sig) &&
+            tryReplay(cm, m, now, prev, prev_sig + r.sigLen, r) > 0) {
             r.spent = true;
             r.seen.clear();
+            r.slots.clear();
             return true;
         }
         return false; // keep the earliest snapshot per hash
     }
-    if (r.seen.size() >= ReplayState::MAX_CHECKPOINTS) {
+    if (slot >= ReplayState::MAX_CHECKPOINTS) {
         // No period found within the history budget: give up and
         // simulate live — slower, never wrong.
         r.armed = false;
         r.seen.clear();
+        r.slots.clear();
         return false;
     }
-    Checkpoint cp;
-    cp.sig = std::move(sig);
-    cp.now = now;
-    cp.fillJob.reserve(m.arr.size());
+    std::int64_t *fill_job = sig + r.sigLen;
     for (const ArrayState &st : m.arr)
-        cp.fillJob.push_back(st.fillJob);
-    cp.stats = m.stats;
-    r.seen.emplace(h, std::move(cp));
+        *fill_job++ = st.fillJob;
+    r.seen.emplace(h, Checkpoint{slot, now, m.stats});
     return false;
 }
 
@@ -592,6 +723,11 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
     const obs::TraceSpan span("perf.cycle_sim");
 
     const CycleModel cm = buildModel(cfg, op, params);
+    if (!naive_tick && static_cast<std::uint64_t>(cm.arrays) > IDX_MASK + 1)
+        fatal("simulateGemmCycles: " + std::to_string(cm.arrays) +
+              " systolic arrays exceed the event key's " +
+              std::to_string(IDX_BITS) + "-bit array index in " +
+              op.name);
     Machine m;
     initMachine(cm, m);
 
@@ -606,28 +742,25 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
         // Coalesced: jump to the earliest due array and pop every
         // array due that cycle, in (due, index) order.
         ReplayState replay = makeReplay(cm, mm);
-        std::vector<DueEntry> heap;
-        rekey(m, heap);
-        while (!heap.empty()) {
-            const std::int64_t now = heap.front().due;
+        DueTree queue;
+        rekey(m, queue, op.name);
+        while (queue.node[0] != DONE_KEY) {
+            const std::uint64_t due_field = queue.node[0] >> IDX_BITS;
+            const std::int64_t now = static_cast<std::int64_t>(due_field);
             bool fresh = false;
             do {
-                DueEntry &top = heap.front();
-                drainArray(cm, m, top.array, now,
+                const int a = static_cast<int>(queue.node[0] & IDX_MASK);
+                drainArray(cm, m, a, now,
                            replay.armed ? &fresh : nullptr);
-                const ArrayState &st =
-                    m.arr[static_cast<std::size_t>(top.array)];
-                if (st.stage == Stage::DONE) {
-                    top = heap.back();
-                    heap.pop_back();
-                } else {
-                    top.due = st.due;
-                }
-                siftDown(heap);
-            } while (!heap.empty() && heap.front().due == now);
+                const ArrayState &st = m.arr[static_cast<std::size_t>(a)];
+                replaceWinner(queue, a,
+                              st.stage == Stage::DONE
+                                  ? DONE_KEY
+                                  : packKey(st.due, a, op.name));
+            } while (queue.node[0] >> IDX_BITS == due_field);
             // Replay shifts every clock by one amount: re-key once.
             if (fresh && onCheckpoint(cm, m, now, replay))
-                rekey(m, heap);
+                rekey(m, queue, op.name);
         }
     }
 

@@ -17,15 +17,21 @@
  * A naive per-cycle walk of this model is 10^3-10^4x slower than
  * TILE_SIM; three layers make it sweep-capable:
  *
- *  - event coalescing: a binary min-heap of live arrays keyed by
- *    (due, array index) jumps straight to the earliest pending
- *    pipeline transition and pops every array due that cycle, instead
- *    of polling every array every cycle (simulateGemmCyclesTick, kept
- *    as the bit-exact reference). The heap order is the tick's
- *    canonical drain order: a transition rewrites only the firing
- *    array's own due time and never sets it in the past, so the
- *    arrays due at a cycle are exactly the heap entries at that
- *    cycle, popped by ascending index;
+ *  - event coalescing: a loser tree over the arrays, keyed by one
+ *    packed integer `due << 20 | array index`, jumps straight to the
+ *    earliest pending pipeline transition and pops every array due
+ *    that cycle, instead of polling every array every cycle
+ *    (simulateGemmCyclesTick, kept as the bit-exact reference). One
+ *    unsigned compare orders two keys, and re-keying the winner
+ *    replays its leaf-to-root matches with conditional moves and no
+ *    data-dependent branch. The pop order is the tick's canonical
+ *    drain order: a transition rewrites only the firing array's own
+ *    due time and never sets it in the past, so the arrays due at a
+ *    cycle are exactly the tree's winners at that cycle, popped by
+ *    ascending index. A GEMM whose array count or due times do not
+ *    fit the key is a fatal error naming it. Each array's tile class,
+ *    grid slot and DRAM bank cursor advance by fixed steps when it
+ *    takes a job, so the loop does no division;
  *  - per-tile-class replay: after warmup the tile stream is periodic
  *    — interior/edge/corner classes recur with a fixed column phase —
  *    so the engine snapshots the relative machine state at tile

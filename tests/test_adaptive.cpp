@@ -261,6 +261,89 @@ TEST(AdaptiveCheckpoint, MissingFileReadsFalse)
         readCheckpoint(testing::TempDir() + "acs-no-such.ckpt", &ck));
 }
 
+/**
+ * Write a valid two-point checkpoint, replace its line @p key ... with
+ * @p forged, read it back, and return the FatalError message (empty
+ * when the read succeeded or threw anything else).
+ */
+std::string
+readForged(const std::string &key, const std::string &forged)
+{
+    Checkpoint ck;
+    ck.fingerprint = 0xfeedull;
+    ck.shard = ShardSpec{0, 1};
+    ck.spacePoints = 1000;
+    ck.waves = 3;
+    ck.points.push_back({4, 1.5, 2.5, POINT_KEPT});
+    ck.points.push_back({9, 0.5, 0.25, 0});
+    const std::string path = testing::TempDir() + "acs-ckpt-forged.ckpt";
+    writeCheckpoint(path, ck);
+
+    std::string text = slurp(path);
+    const std::size_t at = text.find("\n" + key + " ") + 1;
+    EXPECT_NE(at, 0u) << key;
+    text.replace(at, text.find('\n', at) - at, forged);
+    std::ofstream(path, std::ios::trunc) << text;
+
+    std::string message;
+    try {
+        Checkpoint back;
+        readCheckpoint(path, &back);
+    } catch (const FatalError &e) {
+        message = e.what();
+    } catch (...) {
+    }
+    std::remove(path.c_str());
+    return message;
+}
+
+TEST(AdaptiveCheckpoint, ForgedPointCountIsNamedError)
+{
+    // Once ended in std::bad_alloc from reserve().
+    const std::string huge = readForged("points", "points 99999999999999");
+    EXPECT_NE(huge.find("acs-ckpt-forged.ckpt:7: points 99999999999999 "
+                        "exceeds space_points 1000"),
+              std::string::npos)
+        << huge;
+
+    // Within space_points but more lines than the file has bytes for.
+    const std::string long_count = readForged("points", "points 900");
+    EXPECT_NE(long_count.find(":7: points 900 cannot fit in the"),
+              std::string::npos)
+        << long_count;
+}
+
+TEST(AdaptiveCheckpoint, BadValueNamesFileAndLine)
+{
+    // Once "numeric argument expected" (std::invalid_argument), with
+    // no file or line.
+    const std::string waves = readForged("waves", "waves xyz");
+    EXPECT_NE(waves.find("acs-ckpt-forged.ckpt:6: waves: 'xyz' is not "
+                         "a number"),
+              std::string::npos)
+        << waves;
+
+    // Prefix parsing once read "12x" as 12.
+    const std::string trailing =
+        readForged("space_points", "space_points 12x");
+    EXPECT_NE(trailing.find(":4: space_points: '12x' has trailing"),
+              std::string::npos)
+        << trailing;
+
+    const std::string flags = readForged("p", "p 9 3fe0000000000000 "
+                                              "3fd0000000000000 zz");
+    EXPECT_NE(flags.find(":8: flags: 'zz' is not a number"),
+              std::string::npos)
+        << flags;
+
+    EXPECT_NE(readForged("complete", "complete 2").find(
+                  ":5: complete must be 0 or 1"),
+              std::string::npos);
+    EXPECT_NE(readForged("shard", "shard 0").find(
+                  ":3: expected 2 space-separated fields, got 1"),
+              std::string::npos);
+}
+
 TEST(AdaptiveCheckpoint, SearchFingerprintPinned)
 {
     // Checkpoints written by earlier builds resume only while the

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "core/study.hh"
 #include "dse/evaluate.hh"
@@ -190,11 +191,11 @@ TEST(CycleProperty, ManyLockstepArraysMatchNaiveTick)
 {
     // 144 arrays (the fig06 designs run 408-415) all fall due at cycle
     // 0 and, on identical tiles, keep tying until bank and L2
-    // contention staggers them. The coalesced loop's (due, index) heap
+    // contention staggers them. The coalesced loop's (due, index) queue
     // order must reproduce the tick's canonical drain exactly: same
     // bank and L2 arbitration, same event count. Every shape has more jobs than arrays, so
     // replay is armed; the long ones fast-forward, which re-keys the
-    // heap mid-run.
+    // queue mid-run.
     hw::HardwareConfig cfg = hw::modeledA100();
     cfg.name = "lockstep-144";
     cfg.coreCount = 72;
@@ -234,6 +235,155 @@ TEST(CycleProperty, ManyLockstepArraysMatchNaiveTick)
     // Both replay flavours must exercise the fast-forward + re-key.
     EXPECT_GT(replayed_unbatched, 0);
     EXPECT_GT(replayed_batched, 0);
+}
+
+TEST(CycleProperty, QueueBoundaryArrayCountsMatchNaiveTick)
+{
+    // The coalesced loop's loser tree pads the arrays to a power of two
+    // leaves with DONE keys: array counts on and just past a power of
+    // two (1, 2, 3, 4, 5, 8, 9) give a lone root, full trees and trees
+    // that are mostly padding; 21 and 22 leave a 32-leaf tree mostly
+    // full.
+    const struct
+    {
+        long m, n, k, batch;
+    } shapes[] = {
+        {300, 500, 256, 1},   // remainders on both axes
+        {1000, 64, 128, 3},   // batched, n-edge only
+        {4096, 1024, 64, 1},  // long unbatched block: replay armed
+        {100, 100, 512, 40},  // batched remainder stream
+    };
+    std::int64_t replayed = 0;
+    for (const int arrays : {1, 2, 3, 4, 5, 8, 9, 21, 22}) {
+        hw::HardwareConfig cfg = hw::modeledA100();
+        cfg.name = "arrays-" + std::to_string(arrays);
+        cfg.coreCount = arrays;
+        cfg.lanesPerCore = 1;
+        cfg.validate();
+        ASSERT_EQ(cfg.totalSystolicArrays(), arrays);
+        for (const auto &s : shapes) {
+            const model::Op op = weightGemm(s.m, s.n, s.k, s.batch);
+            runEquivalence(cfg, op,
+                           cfg.name + " m=" + std::to_string(s.m) +
+                               " n=" + std::to_string(s.n) +
+                               " k=" + std::to_string(s.k) +
+                               " b=" + std::to_string(s.batch));
+            replayed += simulateGemmCycles(cfg, op).replayedTiles;
+        }
+    }
+    // Some shapes fast-forward, which rebuilds the tree mid-run.
+    EXPECT_GT(replayed, 0);
+
+    // Fewer jobs than arrays: the arrays without a job start (and
+    // stay) at DONE_KEY and never fire.
+    hw::HardwareConfig cfg = hw::modeledA100();
+    cfg.name = "arrays-22-few-jobs";
+    cfg.coreCount = 22;
+    cfg.lanesPerCore = 1;
+    cfg.validate();
+    const model::Op op = weightGemm(120, 120, 256);
+    const CycleStats fast = simulateGemmCycles(cfg, op);
+    ASSERT_GT(fast.totalTiles, 1);
+    ASSERT_LT(fast.totalTiles, cfg.totalSystolicArrays());
+    runEquivalence(cfg, op, cfg.name);
+}
+
+TEST(CycleSim, PinnedStatsOnRemainderShapes)
+{
+    // Both engines share process() and the per-job bookkeeping behind
+    // it (tile class, grid slot and bank cursor, advanced by fixed
+    // steps), so the tick comparison cannot see an error there. These
+    // values were recorded from the engine that derived each tile's
+    // class from its job index and each request's bank as
+    // (array + request) % banks, on remainder-heavy shapes, two of
+    // which replay.
+    const struct
+    {
+        int cores, lanes;
+        long m, n, k, batch;
+        std::int64_t cycles, busy, fillStall, dramQueue, l2Queue, events,
+            replayed;
+    } pins[] = {
+        {9, 2, 209, 353, 512, 5, 66255, 1090720, 71132, 4628, 952218, 900,
+         0},
+        {72, 2, 8191, 2047, 64, 1, 52319, 6605912, 906555, 181763,
+         6502309, 38988, 5472},
+        {72, 2, 100, 300, 128, 6, 2143, 139584, 87545, 165671, 7370, 486,
+         0},
+        {5, 1, 8191, 2047, 64, 1, 874538, 4357632, 8490, 1980, 12665, 5120,
+         800},
+    };
+    for (const auto &p : pins) {
+        hw::HardwareConfig cfg = hw::modeledA100();
+        cfg.coreCount = p.cores;
+        cfg.lanesPerCore = p.lanes;
+        if (p.lanes == 2)
+            cfg.l1BytesPerCore = 32.0 * units::KIB;
+        cfg.validate();
+        const CycleStats s =
+            simulateGemmCycles(cfg, weightGemm(p.m, p.n, p.k, p.batch));
+        const std::string label = std::to_string(p.cores) + "x" +
+                                  std::to_string(p.lanes) +
+                                  " m=" + std::to_string(p.m);
+        EXPECT_EQ(s.cycles, p.cycles) << label;
+        EXPECT_EQ(s.computeBusyCycles, p.busy) << label;
+        EXPECT_EQ(s.fillStallCycles, p.fillStall) << label;
+        EXPECT_EQ(s.dramQueueCycles, p.dramQueue) << label;
+        EXPECT_EQ(s.l2QueueCycles, p.l2Queue) << label;
+        EXPECT_EQ(s.spadSerialCycles, 0) << label;
+        EXPECT_EQ(s.events, p.events) << label;
+        EXPECT_EQ(s.replayedTiles, p.replayed) << label;
+    }
+}
+
+/** The FatalError message of simulateGemmCycles, or "" if none. */
+std::string
+cycleSimError(const hw::HardwareConfig &cfg, const model::Op &op)
+{
+    try {
+        simulateGemmCycles(cfg, op);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CycleSim, EventKeyOverflowIsFatalAndNamesGemm)
+{
+    // The event key packs (due, array index) into one 64-bit integer:
+    // 20 bits of array index, 44 of due time. Overflowing either field
+    // would silently misorder events, so both are refused by name.
+    model::Op op = weightGemm(64, 64, 64);
+    op.name = "probe-gemm";
+
+    hw::HardwareConfig wide = hw::modeledA100();
+    wide.name = "wide";
+    wide.coreCount = (1 << 20) + 1;
+    wide.lanesPerCore = 1;
+    wide.validate();
+    const std::string too_many = cycleSimError(wide, op);
+    EXPECT_NE(too_many.find("1048577 systolic arrays exceed the event "
+                            "key's 20-bit array index in probe-gemm"),
+              std::string::npos)
+        << too_many;
+    hw::HardwareConfig widest = wide;
+    widest.coreCount = 1 << 20;
+    widest.validate();
+    EXPECT_EQ(cycleSimError(widest, op), "");
+
+    // 1 B/s of HBM makes one DRAM request take ~10^14 cycles, past the
+    // 2^44-cycle due field.
+    hw::HardwareConfig slow = hw::modeledA100();
+    slow.name = "slow-hbm";
+    slow.coreCount = 1;
+    slow.lanesPerCore = 1;
+    slow.memBandwidth = 1.0;
+    slow.validate();
+    const std::string late = cycleSimError(slow, op);
+    EXPECT_NE(late.find("exceeds the event key's 17592186044414-cycle "
+                        "range in probe-gemm"),
+              std::string::npos)
+        << late;
 }
 
 TEST(CycleSim, ReplayFiresOnSteadyStateAndStaysExact)
