@@ -1,5 +1,8 @@
 #include "area_model.hh"
 
+#include <cmath>
+#include <string>
+
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -17,18 +20,36 @@ AreaModel::AreaModel()
     : AreaModel(AreaParams{})
 {}
 
+namespace {
+
+/**
+ * fatal() naming @p field unless @p value is finite and > 0 (>= 0 when
+ * @p allow_zero). The negated comparisons reject NaN too.
+ */
+void
+requireParam(const char *field, double value, bool allow_zero)
+{
+    const bool ok = allow_zero ? value >= 0.0 : value > 0.0;
+    if (!ok || !std::isfinite(value)) {
+        fatal(std::string("AreaParams: ") + field + " must be finite and " +
+              (allow_zero ? ">= 0" : "> 0"));
+    }
+}
+
+} // anonymous namespace
+
 AreaModel::AreaModel(const AreaParams &params)
     : params_(params)
 {
-    fatalIf(params_.macAreaMm2 <= 0.0, "AreaParams: macAreaMm2 must be > 0");
-    fatalIf(params_.sramMm2PerMib <= 0.0,
-            "AreaParams: sramMm2PerMib must be > 0");
-    fatalIf(params_.memPhyMm2PerTBps <= 0.0,
-            "AreaParams: memPhyMm2PerTBps must be > 0");
-    fatalIf(params_.coreOverheadMm2 < 0.0 || params_.arrayCtrlMm2 < 0.0 ||
-            params_.vectorAluMm2 < 0.0 || params_.devicePhyMm2 < 0.0 ||
-            params_.nocMm2PerCore < 0.0 || params_.miscMm2 < 0.0,
-            "AreaParams: negative component constant");
+    requireParam("macAreaMm2", params_.macAreaMm2, false);
+    requireParam("sramMm2PerMib", params_.sramMm2PerMib, false);
+    requireParam("memPhyMm2PerTBps", params_.memPhyMm2PerTBps, false);
+    requireParam("arrayCtrlMm2", params_.arrayCtrlMm2, true);
+    requireParam("vectorAluMm2", params_.vectorAluMm2, true);
+    requireParam("coreOverheadMm2", params_.coreOverheadMm2, true);
+    requireParam("devicePhyMm2", params_.devicePhyMm2, true);
+    requireParam("nocMm2PerCore", params_.nocMm2PerCore, true);
+    requireParam("miscMm2", params_.miscMm2, true);
 }
 
 double
@@ -103,7 +124,7 @@ AreaModel::perfDensity(const hw::HardwareConfig &cfg,
 {
     if (!cfg.nonPlanarTransistor)
         return 0.0;
-    panicIf(die_area_mm2 <= 0.0, "die area must be positive");
+    fatalIf(!(die_area_mm2 > 0.0), "perfDensity: die area must be > 0");
     return cfg.tpp() / die_area_mm2;
 }
 

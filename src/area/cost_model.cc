@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -28,16 +29,18 @@ CostModel::CostModel()
 CostModel::CostModel(const CostParams &params)
     : params_(params)
 {
-    fatalIf(params_.waferDiameterMm <= 0.0,
-            "CostParams: wafer diameter must be > 0");
-    fatalIf(params_.defectDensityPerMm2 < 0.0,
-            "CostParams: defect density must be >= 0");
+    fatalIf(!(params_.waferDiameterMm > 0.0) ||
+                !std::isfinite(params_.waferDiameterMm),
+            "CostParams: waferDiameterMm must be finite and > 0");
+    fatalIf(!(params_.defectDensityPerMm2 >= 0.0) ||
+                !std::isfinite(params_.defectDensityPerMm2),
+            "CostParams: defectDensityPerMm2 must be finite and >= 0");
 }
 
 int
 CostModel::diesPerWafer(double die_area_mm2) const
 {
-    fatalIf(die_area_mm2 <= 0.0, "diesPerWafer: area must be > 0");
+    fatalIf(!(die_area_mm2 > 0.0), "diesPerWafer: area must be > 0");
     const double d = params_.waferDiameterMm;
     const double gross =
         std::numbers::pi * (d / 2.0) * (d / 2.0) / die_area_mm2 -
@@ -48,7 +51,7 @@ CostModel::diesPerWafer(double die_area_mm2) const
 double
 CostModel::murphyYield(double die_area_mm2) const
 {
-    fatalIf(die_area_mm2 <= 0.0, "murphyYield: area must be > 0");
+    fatalIf(!(die_area_mm2 > 0.0), "murphyYield: area must be > 0");
     const double ad = die_area_mm2 * params_.defectDensityPerMm2;
     if (ad == 0.0)
         return 1.0;
@@ -60,9 +63,10 @@ double
 CostModel::dieCostUsd(double die_area_mm2, hw::ProcessNode node) const
 {
     const int dies = diesPerWafer(die_area_mm2);
-    fatalIf(dies <= 0,
-            "die of " + std::to_string(die_area_mm2) +
-            " mm^2 does not fit the wafer");
+    if (dies <= 0) {
+        fatal("die of " + std::to_string(die_area_mm2) +
+              " mm^2 does not fit the wafer");
+    }
     return waferPriceUsd(node) / dies;
 }
 
@@ -76,7 +80,7 @@ double
 CostModel::costForGoodDiesUsd(double die_area_mm2, hw::ProcessNode node,
                               double good_dies) const
 {
-    fatalIf(good_dies < 0.0, "costForGoodDiesUsd: count must be >= 0");
+    fatalIf(!(good_dies >= 0.0), "costForGoodDiesUsd: count must be >= 0");
     return goodDieCostUsd(die_area_mm2, node) * good_dies;
 }
 

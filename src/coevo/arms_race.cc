@@ -214,7 +214,7 @@ ArmsRace::designerResponse(const policy::ParamRule &rule)
             es.space, [&rule, seg](const dse::EvaluatedDesign &d) {
                 if (!perDieUnderReticle(d))
                     return false;
-                return rule.classifyAs(d.toSpec(), seg) ==
+                return rule.classifyAs(d.unnamedSpec(), seg) ==
                        policy::Classification::NOT_APPLICABLE;
             });
         best.evaluated += r.evaluated;

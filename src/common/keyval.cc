@@ -1,10 +1,10 @@
 #include "keyval.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 #include "logging.hh"
+#include "parse.hh"
 
 namespace acs {
 
@@ -107,23 +107,13 @@ KeyVal::getString(const std::string &key) const
 double
 KeyVal::getDouble(const std::string &key) const
 {
-    const std::string raw = getString(key);
-    char *end = nullptr;
-    const double value = std::strtod(raw.c_str(), &end);
-    fatalIf(end == raw.c_str() || *end != '\0',
-            "keyval: '" + key + "' is not a number: " + raw);
-    return value;
+    return parseNumber<double>(getString(key), "keyval: '" + key + "'");
 }
 
 long
 KeyVal::getInt(const std::string &key) const
 {
-    const std::string raw = getString(key);
-    char *end = nullptr;
-    const long value = std::strtol(raw.c_str(), &end, 10);
-    fatalIf(end == raw.c_str() || *end != '\0',
-            "keyval: '" + key + "' is not an integer: " + raw);
-    return value;
+    return parseNumber<long>(getString(key), "keyval: '" + key + "'");
 }
 
 bool

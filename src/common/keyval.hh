@@ -41,7 +41,11 @@ class KeyVal
     /** True when @p key is present. */
     bool has(const std::string &key) const;
 
-    /** Typed getters: fatal when missing or unparsable. */
+    /**
+     * Typed getters: fatal when missing or unparsable. Numbers go
+     * through parseNumber(): the whole value must parse, fit the type
+     * and, for doubles, be finite.
+     */
     std::string getString(const std::string &key) const;
     double getDouble(const std::string &key) const;
     long getInt(const std::string &key) const;

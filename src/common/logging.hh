@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace acs {
 
@@ -63,24 +64,30 @@ void inform(const std::string &msg);
 void setVerbose(bool verbose);
 
 /**
- * fatal() unless @p cond holds.
+ * fatal() if @p cond holds.
  *
- * @param cond Condition that must be true for a valid configuration.
- * @param msg  Message used when the condition fails.
+ * Takes a view so that a literal message costs nothing on the success
+ * path: the std::string is built only inside the failing branch. Hot
+ * loops must not pass a message formatted up front (e.g. one built with
+ * std::to_string): that formats on every call; test the condition and
+ * call fatal() in the branch instead.
+ *
+ * @param cond Condition that makes the configuration invalid.
+ * @param msg  Message used when the condition holds.
  */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(std::string(msg));
 }
 
-/** panic() if @p cond holds. */
+/** panic() if @p cond holds (message built only on failure). */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(std::string(msg));
 }
 
 } // namespace acs

@@ -404,56 +404,73 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
 
     // Global survivor selection: top-k per metric plus the band
     // around each incumbent best, capped, deterministically ordered.
-    const auto selectSurvivors = [&]() {
-        std::vector<std::size_t> cand;
-        for (std::size_t i = 0; i < runs.size(); ++i) {
+    //
+    // The rankings persist across rounds: a run's metrics are final
+    // once processRuns appends it, so each round sorts only the runs
+    // appended since the last one and merges them in. Both orders are
+    // total (ties break on the unique base index), so the merged
+    // sequence is exactly what a full re-sort would produce.
+    const auto ttftBefore = [&](std::size_t a, std::size_t b) {
+        if (runs[a].bestTtft != runs[b].bestTtft)
+            return runs[a].bestTtft < runs[b].bestTtft;
+        return runs[a].base < runs[b].base;
+    };
+    const auto tbtBefore = [&](std::size_t a, std::size_t b) {
+        if (runs[a].bestTbt != runs[b].bestTbt)
+            return runs[a].bestTbt < runs[b].bestTbt;
+        return runs[a].base < runs[b].base;
+    };
+    std::vector<std::size_t> by_ttft; // kept runs, ranked by TTFT
+    std::vector<std::size_t> by_tbt;  // kept runs, ranked by TBT
+    std::size_t ranked = 0;           // runs[0, ranked) are ranked
+    std::vector<std::size_t> cell_count(o_end - o_begin);
+    std::vector<char> chosen; // per run; cleared after each selection
+    const auto rankNewRuns = [&](std::vector<std::size_t> &ranking,
+                                 const auto &before) {
+        const std::size_t old_size = ranking.size();
+        for (std::size_t i = ranked; i < runs.size(); ++i) {
             if (runs[i].hasKept)
-                cand.push_back(i);
+                ranking.push_back(i);
         }
+        const auto mid = ranking.begin() + old_size;
+        std::sort(mid, ranking.end(), before);
+        std::inplace_merge(ranking.begin(), mid, ranking.end(), before);
+    };
+    const auto selectSurvivors = [&]() {
+        rankNewRuns(by_ttft, ttftBefore);
+        rankNewRuns(by_tbt, tbtBefore);
+        ranked = runs.size();
+        chosen.resize(runs.size());
         std::vector<std::size_t> out;
-        if (cand.empty())
+        if (by_ttft.empty())
             return out;
-        auto by_ttft = cand;
-        std::sort(by_ttft.begin(), by_ttft.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (runs[a].bestTtft != runs[b].bestTtft)
-                          return runs[a].bestTtft < runs[b].bestTtft;
-                      return runs[a].base < runs[b].base;
-                  });
-        auto by_tbt = cand;
-        std::sort(by_tbt.begin(), by_tbt.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (runs[a].bestTbt != runs[b].bestTbt)
-                          return runs[a].bestTbt < runs[b].bestTbt;
-                      return runs[a].base < runs[b].base;
-                  });
-        std::unordered_set<std::size_t> chosen;
         const auto addEscort = [&](std::size_t i) {
-            if (chosen.insert(i).second)
+            if (!chosen[i]) {
+                chosen[i] = 1;
                 out.push_back(i);
+            }
         };
         // Per-cell escort first: uncapped, so every outer cell keeps
         // descending toward its own local optimum even when its runs
         // rank poorly globally.
         if (cfg_.cellTopK > 0) {
-            std::unordered_map<std::size_t, std::size_t> cell_count;
-            for (std::size_t i : by_ttft) {
-                const std::size_t cell = runs[i].base / inner_block;
-                if (cell_count[cell]++ < cfg_.cellTopK)
-                    addEscort(i);
-            }
-            cell_count.clear();
-            for (std::size_t i : by_tbt) {
-                const std::size_t cell = runs[i].base / inner_block;
-                if (cell_count[cell]++ < cfg_.cellTopK)
-                    addEscort(i);
+            for (const std::vector<std::size_t> *ranking :
+                 {&by_ttft, &by_tbt}) {
+                std::fill(cell_count.begin(), cell_count.end(), 0);
+                for (std::size_t i : *ranking) {
+                    const std::size_t cell =
+                        runs[i].base / inner_block - o_begin;
+                    if (cell_count[cell]++ < cfg_.cellTopK)
+                        addEscort(i);
+                }
             }
         }
         const std::size_t escorts = out.size();
         const auto add = [&](std::size_t i) {
-            if (out.size() < escorts + cfg_.maxSurvivors &&
-                chosen.insert(i).second)
+            if (out.size() < escorts + cfg_.maxSurvivors && !chosen[i]) {
+                chosen[i] = 1;
                 out.push_back(i);
+            }
         };
         for (std::size_t i = 0; i < std::min(cfg_.topK, by_ttft.size());
              ++i)
@@ -471,6 +488,8 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
             if (runs[i].bestTtft <= band_t || runs[i].bestTbt <= band_b)
                 add(i);
         }
+        for (std::size_t i : out)
+            chosen[i] = 0;
         std::sort(out.begin(), out.end(),
                   [&](std::size_t a, std::size_t b) {
                       return runs[a].base < runs[b].base;

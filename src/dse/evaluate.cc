@@ -71,8 +71,15 @@ EvaluatedDesign::tbtCostProduct() const
 policy::DeviceSpec
 EvaluatedDesign::toSpec() const
 {
-    policy::DeviceSpec spec;
+    policy::DeviceSpec spec = unnamedSpec();
     spec.name = config.name;
+    return spec;
+}
+
+policy::DeviceSpec
+EvaluatedDesign::unnamedSpec() const
+{
+    policy::DeviceSpec spec;
     spec.tpp = tpp;
     spec.deviceBandwidthGBps = units::toGBps(config.deviceBandwidth());
     spec.dieAreaMm2 = dieAreaMm2;
@@ -81,6 +88,13 @@ EvaluatedDesign::toSpec() const
     spec.memCapacityGB = config.memCapacityBytes / units::GB;
     spec.memBandwidthGBps = units::toGBps(config.memBandwidth);
     return spec;
+}
+
+bool
+EvaluatedDesign::oct2023Unregulated() const
+{
+    return policy::Oct2023Rule::classify(unnamedSpec()) ==
+           policy::Classification::NOT_APPLICABLE;
 }
 
 DesignEvaluator::DesignEvaluator(const model::TransformerConfig &model_cfg,
@@ -302,10 +316,8 @@ StreamStats::absorb(const EvaluatedDesign &design, std::size_t index,
     ++kept;
     if (design.underReticle)
         ++underReticle;
-    if (policy::Oct2023Rule::classify(design.toSpec()) ==
-        policy::Classification::NOT_APPLICABLE) {
+    if (design.oct2023Unregulated())
         ++oct2023Unregulated;
-    }
     // Strict-< with an index tie-break reproduces std::min_element's
     // first-wins semantics over the enumeration order.
     if (!bestTtft || design.ttftS < bestTtft->ttftS ||
@@ -473,9 +485,7 @@ DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
                 s.tbtS = d.tbtS;
                 s.kept = !predicate || predicate(d);
                 s.underReticle = d.underReticle;
-                s.oct2023Unregulated =
-                    policy::Oct2023Rule::classify(d.toSpec()) ==
-                    policy::Classification::NOT_APPLICABLE;
+                s.oct2023Unregulated = d.oct2023Unregulated();
                 obs::counterAdd("dse.worker.designs");
             };
             for (;;) {
@@ -520,10 +530,8 @@ filterOct2023Unregulated(const std::vector<EvaluatedDesign> &designs)
     obs::counterAdd("policy.classified.oct2023", designs.size());
     std::vector<EvaluatedDesign> out;
     for (const EvaluatedDesign &d : designs) {
-        if (policy::Oct2023Rule::classify(d.toSpec()) ==
-            policy::Classification::NOT_APPLICABLE) {
+        if (d.oct2023Unregulated())
             out.push_back(d);
-        }
     }
     obs::counterAdd("policy.unregulated.oct2023", out.size());
     return out;
@@ -537,9 +545,7 @@ filterOct2023Unregulated(std::vector<EvaluatedDesign> &&designs)
     designs.erase(
         std::remove_if(designs.begin(), designs.end(),
                        [](const EvaluatedDesign &d) {
-                           return policy::Oct2023Rule::classify(
-                                      d.toSpec()) !=
-                                  policy::Classification::NOT_APPLICABLE;
+                           return !d.oct2023Unregulated();
                        }),
         designs.end());
     obs::counterAdd("policy.unregulated.oct2023", designs.size());

@@ -46,6 +46,20 @@ struct EvaluatedDesign
 
     /** Reduce to a classification spec (marketed as data center). */
     policy::DeviceSpec toSpec() const;
+
+    /**
+     * toSpec() without the name: every field a rule classifies on,
+     * and no copy of config.name. Per-design predicates use it, so
+     * classifying a design does not allocate.
+     */
+    policy::DeviceSpec unnamedSpec() const;
+
+    /**
+     * True when the Oct-2023 data-center rule leaves the design
+     * NOT_APPLICABLE (the paper's compliance bar, Sec. 4.3). Same
+     * verdict as classifying toSpec().
+     */
+    bool oct2023Unregulated() const;
 };
 
 /**

@@ -264,14 +264,14 @@ SweepPlan::SweepPlan(const SweepSpace &space)
 
     // Whole-tail table on top of the fragments for exhaustive-scale
     // spaces only: splicing one precompiled tail beats three extra
-    // appends per point, but the table is O(innerBlock_) strings —
+    // appends per point, but the table is O(innerBlock_) bytes —
     // prohibitive for fine-grained adaptive spaces (dse::fineSpace has
     // ~1.5M inner points per outer cell), which sample the block too
     // sparsely to amortize it anyway. Names are byte-identical either
     // way; tests/test_dse.cpp pins both paths against a stream-built
     // reference.
     if (innerBlock_ <= 65536) {
-        innerSuffixes_.resize(innerBlock_);
+        innerSuffixOffsets_.resize(innerBlock_ + 1);
         for (std::size_t rem = 0; rem < innerBlock_; ++rem) {
             std::size_t r = rem;
             const std::size_t n_dev = space.deviceBandwidths.size();
@@ -283,13 +283,12 @@ SweepPlan::SweepPlan(const SweepSpace &space)
             r /= n_mem;
             const std::size_t l2 = r % n_l2;
             r /= n_l2;
-            std::string &tail = innerSuffixes_[rem];
-            tail.reserve(l1Frags_[r].size() + l2Frags_[l2].size() +
-                         memFrags_[mem].size() + devFrags_[dev].size());
-            tail.append(l1Frags_[r]);
-            tail.append(l2Frags_[l2]);
-            tail.append(memFrags_[mem]);
-            tail.append(devFrags_[dev]);
+            innerSuffixChars_.append(l1Frags_[r]);
+            innerSuffixChars_.append(l2Frags_[l2]);
+            innerSuffixChars_.append(memFrags_[mem]);
+            innerSuffixChars_.append(devFrags_[dev]);
+            innerSuffixOffsets_[rem + 1] =
+                static_cast<std::uint32_t>(innerSuffixChars_.size());
         }
     }
 }
@@ -326,8 +325,10 @@ SweepPlan::point(std::size_t index, hw::HardwareConfig *out) const
     // Assemble the name from the precompiled fragments, reusing the
     // caller's string storage (no allocation once warm).
     out->name.assign(o.namePrefix);
-    if (!innerSuffixes_.empty()) {
-        out->name.append(innerSuffixes_[inner]);
+    if (!innerSuffixOffsets_.empty()) {
+        const std::uint32_t begin = innerSuffixOffsets_[inner];
+        out->name.append(innerSuffixChars_, begin,
+                         innerSuffixOffsets_[inner + 1] - begin);
     } else {
         out->name.append(l1Frags_[l1]);
         out->name.append(l2Frags_[l2]);

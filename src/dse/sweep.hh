@@ -188,12 +188,14 @@ class SweepPlan
      * Build the design point at flat index @p index into @p out.
      *
      * Same point as the returning overload, but reusing the caller's
-     * config — and in particular its name string's heap buffer. Sweep
-     * workers build one design per enumeration step; with a fresh
-     * config each step the name allocation dominates the build under
-     * thread contention (the allocator serializes at streaming
-     * rates), so hot loops keep one scratch config per worker and
-     * fill it in place.
+     * config, and in particular its name string's heap buffer. This
+     * is the first step of the per-design sweep path, which allocates
+     * and formats nothing once its per-worker scratch is warm
+     * (docs/DSE.md, "Hot-path rule"): the name is spliced from
+     * fragments precompiled by the constructor, and the range check
+     * builds its message only when it fails. Hot loops keep one
+     * scratch config per worker and fill it in place;
+     * tests/test_alloc_free.cpp pins the allocation count.
      */
     void point(std::size_t index, hw::HardwareConfig *out) const;
 
@@ -219,6 +221,9 @@ class SweepPlan
      * compiling the fragments here keeps all number formatting out of
      * point() (glibc's float printf serializes across sweep workers).
      *
+     * The tails share one buffer (tail i spans offsets i to i + 1)
+     * instead of taking one heap string each.
+     *
      * Only built while innerBlock_ stays small (the paper's Table 3/5
      * spaces): a fine-grained adaptive space (dse::fineSpace) has
      * millions of inner points per outer cell, where a full suffix
@@ -227,7 +232,8 @@ class SweepPlan
      * point() splices four per-axis fragments instead — byte-identical
      * names (same fragments, same order), one extra append per axis.
      */
-    std::vector<std::string> innerSuffixes_;
+    std::string innerSuffixChars_; //!< every tail, back to back
+    std::vector<std::uint32_t> innerSuffixOffsets_; //!< tail i starts here
     std::vector<std::string> l1Frags_;  //!< "<l1>K-L2."
     std::vector<std::string> l2Frags_;  //!< "<l2>M-hbm"
     std::vector<std::string> memFrags_; //!< "<mem>T-dev"

@@ -80,9 +80,9 @@ void
 HardwareConfig::validate() const
 {
     // Messages are formatted only on the failure path: validate() runs
-    // on every model construction (several times per DSE design
-    // point), and eagerly concatenating fourteen strings per call
-    // dominated sweep throughput.
+    // at least twice per DSE design point (SweepPlan::point and
+    // AreaModel::breakdown), and the per-design path allocates and
+    // formats nothing (docs/DSE.md, "Hot-path rule").
     if (coreCount < 1)
         fatal(name + ": coreCount must be >= 1");
     if (lanesPerCore < 1)

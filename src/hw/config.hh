@@ -96,8 +96,10 @@ struct HardwareConfig
     /**
      * Validate the configuration.
      *
-     * Fatal on non-positive structural parameters or a zero clock; the
-     * DSE relies on this to reject malformed sweep points early.
+     * Fatal, naming the config and the field, on a structural count
+     * below its minimum and on a clock, buffer size or bandwidth that
+     * is NaN, infinite or out of range. Formats nothing on success:
+     * the DSE validates every sweep point it builds.
      */
     void validate() const;
 };

@@ -57,28 +57,37 @@ BatchEvaluator::layerLatency(const model::LayerGraph &graph,
             "BatchEvaluator: tensor_parallel must be >= 1");
     const std::size_t n = batch.size();
     for (const model::Op &op : graph.ops) {
+        const auto live_end = memo_.begin() + used_;
         const auto hit = std::find_if(
-            memo_.begin(), memo_.end(),
+            memo_.begin(), live_end,
             [&](const MemoEntry &e) { return sameOpShape(e.op, op); });
         const double *lat;
-        if (hit != memo_.end()) {
+        if (hit != live_end) {
             lat = hit->latencyS.data();
         } else {
-            std::vector<double> timed(n);
+            // Fill the next slot in place: assigning into a spare
+            // slot reuses its name and latency buffers. The slot goes
+            // live only once timed, so a fatal shape leaves no entry.
+            if (used_ == memo_.size())
+                memo_.emplace_back();
+            MemoEntry &slot = memo_[used_];
+            slot.op = op;
+            slot.latencyS.resize(n);
+            double *timed = slot.latencyS.data();
             switch (op.kind) {
               case model::OpKind::MATMUL:
-                batchMatmulTotalS(batch, op, params_, timed.data());
+                batchMatmulTotalS(batch, op, params_, timed);
                 break;
               case model::OpKind::VECTOR:
-                batchVectorTotalS(batch, op, params_, timed.data());
+                batchVectorTotalS(batch, op, params_, timed);
                 break;
               case model::OpKind::ALLREDUCE:
                 batchAllreduceTotalS(batch, op, tensor_parallel, params_,
-                                     timed.data());
+                                     timed);
                 break;
             }
-            memo_.push_back({op, std::move(timed)});
-            lat = memo_.back().latencyS.data();
+            ++used_;
+            lat = timed;
         }
         // Accumulate in graph order: same adds, same order as the
         // scalar `result.latencyS += timing.latencyS` fold.

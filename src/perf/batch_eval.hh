@@ -88,8 +88,12 @@ class BatchEvaluator
   public:
     explicit BatchEvaluator(const PerfParams &params) : params_(params) {}
 
-    /** Drop memoized shapes (call when the batch contents change). */
-    void reset() { memo_.clear(); }
+    /**
+     * Drop memoized shapes (call when the batch contents change). The
+     * slots keep their buffers, so a sweep that resets once per chunk
+     * stops allocating after its first chunk.
+     */
+    void reset() { used_ = 0; }
 
     /**
      * Accumulate the summed op latency of @p graph into @p out:
@@ -109,7 +113,8 @@ class BatchEvaluator
     };
 
     PerfParams params_;
-    std::vector<MemoEntry> memo_;
+    std::vector<MemoEntry> memo_; //!< [0, used_) live; the rest spare
+    std::size_t used_ = 0;
 };
 
 } // namespace perf

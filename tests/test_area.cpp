@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+
 #include "area/area_model.hh"
 #include "area/cost_model.hh"
 #include "common/logging.hh"
@@ -149,6 +153,60 @@ TEST(AreaModel, InvalidParamsAreFatal)
     EXPECT_THROW(AreaModel{params}, FatalError);
 }
 
+/** Expect @p fn to throw a FatalError whose message names @p name. */
+void
+expectFatalNaming(const std::function<void()> &fn, const std::string &name)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no error; expected one naming " << name;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+    }
+}
+
+constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double INF = std::numeric_limits<double>::infinity();
+
+TEST(AreaModel, NonFiniteParamsAreFatalAndNamed)
+{
+    // NaN passes a `x <= 0.0` guard; every constant must be refused
+    // by name when it is NaN or infinite.
+    const struct
+    {
+        double AreaParams::*member;
+        const char *name;
+    } fields[] = {
+        {&AreaParams::macAreaMm2, "macAreaMm2"},
+        {&AreaParams::arrayCtrlMm2, "arrayCtrlMm2"},
+        {&AreaParams::vectorAluMm2, "vectorAluMm2"},
+        {&AreaParams::sramMm2PerMib, "sramMm2PerMib"},
+        {&AreaParams::coreOverheadMm2, "coreOverheadMm2"},
+        {&AreaParams::memPhyMm2PerTBps, "memPhyMm2PerTBps"},
+        {&AreaParams::devicePhyMm2, "devicePhyMm2"},
+        {&AreaParams::nocMm2PerCore, "nocMm2PerCore"},
+        {&AreaParams::miscMm2, "miscMm2"},
+    };
+    for (const auto &f : fields) {
+        for (const double bad : {NaN, INF, -1.0}) {
+            AreaParams params;
+            params.*f.member = bad;
+            expectFatalNaming([&] { AreaModel{params}; }, f.name);
+        }
+    }
+}
+
+TEST(AreaModel, NanDieAreaIsFatal)
+{
+    const AreaModel model;
+    const hw::HardwareConfig cfg = hw::modeledA100();
+    expectFatalNaming([&] { model.perfDensity(cfg, NaN); },
+                      "perfDensity");
+    expectFatalNaming([&] { model.perfDensity(cfg, 0.0); },
+                      "perfDensity");
+}
+
 TEST(AreaModel, WiderBitwidthGrowsMacArea)
 {
     const AreaModel model;
@@ -230,6 +288,28 @@ TEST(CostModel, ValidatesInput)
     CostParams bad;
     bad.waferDiameterMm = 0.0;
     EXPECT_THROW(CostModel{bad}, FatalError);
+}
+
+TEST(CostModel, NonFiniteInputsAreFatalAndNamed)
+{
+    const CostModel cost;
+    // A NaN area reached static_cast<int>(floor(NaN)) in diesPerWafer.
+    expectFatalNaming([&] { cost.diesPerWafer(NaN); }, "diesPerWafer");
+    expectFatalNaming([&] { cost.murphyYield(NaN); }, "murphyYield");
+    expectFatalNaming(
+        [&] { cost.costForGoodDiesUsd(500.0, hw::ProcessNode::N7, NaN); },
+        "costForGoodDiesUsd");
+    for (const double bad : {NaN, INF, 0.0}) {
+        CostParams params;
+        params.waferDiameterMm = bad;
+        expectFatalNaming([&] { CostModel{params}; }, "waferDiameterMm");
+    }
+    for (const double bad : {NaN, INF, -1.0}) {
+        CostParams params;
+        params.defectDensityPerMm2 = bad;
+        expectFatalNaming([&] { CostModel{params}; },
+                          "defectDensityPerMm2");
+    }
 }
 
 /** Property sweep: yield, dies/wafer, and cost are monotone in area. */

@@ -121,6 +121,48 @@ TEST(BatchEval, MatchesScalarModelsAblations)
     expectBatchMatchesScalar(core::gpt3Workload(), p);
 }
 
+TEST(BatchEval, ReusedEvaluatorMatchesFreshAcrossResets)
+{
+    // reset() keeps the memo slots and their buffers. Reusing one
+    // evaluator over chunks of changing size and changing graphs must
+    // give exactly what a fresh evaluator gives for each chunk.
+    const std::vector<hw::HardwareConfig> cfgs = fig06Space().generate();
+    const core::Workload gpt3 = core::gpt3Workload();
+    const core::Workload llama = core::llamaWorkload();
+    const dse::DesignEvaluator eval_g(gpt3.model, gpt3.setting,
+                                      gpt3.system);
+    const dse::DesignEvaluator eval_l(llama.model, llama.setting,
+                                      llama.system);
+    BatchEvaluator reused{PerfParams{}};
+    const struct
+    {
+        const dse::DesignEvaluator *eval;
+        int tp;
+        std::size_t first, count;
+    } chunks[] = {
+        {&eval_g, gpt3.system.tensorParallel, 0, 64},
+        {&eval_l, llama.system.tensorParallel, 64, 7},
+        {&eval_g, gpt3.system.tensorParallel, 71, 64},
+        {&eval_g, gpt3.system.tensorParallel, 135, 1},
+        {&eval_l, llama.system.tensorParallel, 136, 64},
+    };
+    for (const auto &c : chunks) {
+        DesignBatch batch;
+        for (std::size_t i = 0; i < c.count; ++i)
+            batch.push(cfgs[c.first + i]);
+        BatchEvaluator fresh{PerfParams{}};
+        reused.reset();
+        for (const model::LayerGraph *graph :
+             {&c.eval->prefillGraph(), &c.eval->decodeGraph()}) {
+            std::vector<double> want(c.count, 0.0), got(c.count, 0.0);
+            fresh.layerLatency(*graph, c.tp, batch, want.data());
+            reused.layerLatency(*graph, c.tp, batch, got.data());
+            for (std::size_t i = 0; i < c.count; ++i)
+                EXPECT_EQ(got[i], want[i]) << graph->name << " " << i;
+        }
+    }
+}
+
 /** End to end: the streaming sweep (batched in ANALYTIC mode, the
  *  scalar/cache pipeline otherwise) must reproduce the argmins and
  *  tallies of evaluateAll, the scalar per-design path, folded in

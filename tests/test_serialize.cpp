@@ -179,6 +179,48 @@ TEST(HwSerialize, NonFiniteLoadedValuesAreFatalAndNamed)
     }
 }
 
+TEST(HwSerialize, OutOfRangeAndNonFiniteNumbersAreFatalAndNamed)
+{
+    // Each value once slipped through: 2^32 + 108 wrapped to a 108-core
+    // config, strtod read 1e999 as inf, and nan is not a number. The
+    // error names the key as the file spells it.
+    const struct
+    {
+        const char *text;
+        const char *key;
+        const char *reason;
+    } cases[] = {
+        {"core_count = 4294967404\n", "core_count", "out of range"},
+        {"dies_per_package = -4294967295\n", "dies_per_package",
+         "out of range"},
+        {"mem_bandwidth = 1e999\n", "mem_bandwidth", "out of range"},
+        {"clock_hz = nan\n", "clock_hz", "not finite"},
+    };
+    for (const auto &c : cases) {
+        try {
+            const hw::HardwareConfig cfg =
+                hw::configFromKeyVal(KeyVal::parse(c.text));
+            ADD_FAILURE() << "accepted " << c.text << " as "
+                          << cfg.coreCount << " cores";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(c.key), std::string::npos) << msg;
+            EXPECT_NE(msg.find(c.reason), std::string::npos) << msg;
+        }
+    }
+}
+
+TEST(KeyVal, NumbersMustFitTheirType)
+{
+    const KeyVal kv = KeyVal::parse(
+        "big = 99999999999999999999\nhuge = 1e999\nnan = nan\n"
+        "tail = 2.5x\n");
+    EXPECT_THROW(kv.getInt("big"), FatalError);
+    EXPECT_THROW(kv.getDouble("huge"), FatalError);
+    EXPECT_THROW(kv.getDouble("nan"), FatalError);
+    EXPECT_THROW(kv.getDouble("tail"), FatalError);
+}
+
 TEST(HwSerialize, ProcessNames)
 {
     EXPECT_EQ(hw::processFromString("7nm"), hw::ProcessNode::N7);
