@@ -858,12 +858,19 @@ runCoevoThroughput(int reps)
     const std::size_t points = thr.totalSpacePoints + fw.totalSpacePoints;
     const double fraction =
         points > 0 ? static_cast<double>(evaluated) / points : 0.0;
+    // Visits that reached the perf kernels: each race keeps one search
+    // per escape space, so re-classified points are not timed again.
+    const std::size_t timed = thr.totalTimed + fw.totalTimed;
+    const double timed_fraction =
+        evaluated > 0 ? static_cast<double>(timed) / evaluated : 0.0;
 
     std::cout << "  best responses: " << best_rate << " /s ("
               << thr.bestResponses + fw.bestResponses
               << " distinct rules per race pair)\n"
               << "  evaluated     : " << evaluated << " of " << points
               << " space points (fraction " << fraction << ")\n"
+              << "  timed         : " << timed << " of " << evaluated
+              << " visits (fraction " << timed_fraction << ")\n"
               << "  fixed point   : threshold round "
               << thr.roundsToFixedPoint << ", firmware round "
               << fw.roundsToFixedPoint << "\n"
@@ -883,6 +890,8 @@ runCoevoThroughput(int reps)
         << "  \"best_responses_per_race_pair\": "
         << thr.bestResponses + fw.bestResponses << ",\n"
         << "  \"evaluated_points\": " << evaluated << ",\n"
+        << "  \"timed_points\": " << timed << ",\n"
+        << "  \"timed_fraction\": " << timed_fraction << ",\n"
         << "  \"space_points\": " << points << ",\n"
         << "  \"fraction_evaluated\": " << fraction << ",\n"
         << "  \"threshold_rounds_to_fixed_point\": "

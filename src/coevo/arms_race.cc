@@ -1,11 +1,13 @@
 #include "arms_race.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "area/area_model.hh"
 #include "common/logging.hh"
 #include "core/study.hh"
+#include "obs/obs.hh"
 
 namespace acs {
 namespace coevo {
@@ -28,6 +30,20 @@ perDieUnderReticle(const dse::EvaluatedDesign &d)
 {
     const int dies = d.config.diesPerPackage > 0 ? d.config.diesPerPackage : 1;
     return d.dieAreaMm2 / dies <= area::RETICLE_LIMIT_MM2;
+}
+
+/** Exact equality of every field a search depends on. Labels are
+ *  not enough: they truncate the TPP target. */
+bool
+sameSpace(const dse::SweepSpace &a, const dse::SweepSpace &b)
+{
+    return a.tppTarget == b.tppTarget && a.base == b.base &&
+           a.systolicDims == b.systolicDims &&
+           a.lanesPerCore == b.lanesPerCore &&
+           a.l1BytesPerCore == b.l1BytesPerCore &&
+           a.l2Bytes == b.l2Bytes && a.memBandwidths == b.memBandwidths &&
+           a.deviceBandwidths == b.deviceBandwidths &&
+           a.diesPerPackage == b.diesPerPackage;
 }
 
 /** One regulator move: a label and the tightened rule. */
@@ -163,12 +179,20 @@ dse::AdaptiveResult
 ArmsRace::searchSpace(const dse::SweepSpace &space,
                       const dse::DesignEvaluator::StreamPredicate &predicate)
 {
-    dse::AdaptiveConfig acfg;
-    acfg.threads = cfg_.threads;
-    acfg.maxEvaluations = cfg_.maxEvaluations;
-    acfg.workloadTag = "coevo-" + cfg_.workload;
-    dse::AdaptiveSearch search(*evaluator_, space, acfg);
-    dse::AdaptiveResult r = search.run(predicate);
+    auto it = std::find_if(searches_.begin(), searches_.end(),
+                           [&](const std::unique_ptr<SpaceSearch> &s) {
+                               return sameSpace(s->space, space);
+                           });
+    if (it == searches_.end()) {
+        dse::AdaptiveConfig acfg;
+        acfg.threads = cfg_.threads;
+        acfg.maxEvaluations = cfg_.maxEvaluations;
+        acfg.workloadTag = "coevo-" + cfg_.workload;
+        searches_.push_back(
+            std::make_unique<SpaceSearch>(*evaluator_, space, acfg));
+        it = searches_.end() - 1;
+    }
+    dse::AdaptiveResult r = (*it)->search.run(predicate);
     totalEvaluated_ += r.evaluated;
     totalSpacePoints_ += r.spacePoints;
     return r;
@@ -203,8 +227,10 @@ ArmsRace::designerResponse(const policy::ParamRule &rule)
     rule.validate();
     const std::string key = "t:" + rule.describe();
     auto it = memo_.find(key);
-    if (it != memo_.end())
+    if (it != memo_.end()) {
+        obs::counterAdd("coevo.designer.memo_hits");
         return it->second;
+    }
 
     const double ref = referenceTtftS();
     BestResponse best;
@@ -240,8 +266,10 @@ ArmsRace::designerResponse(const policy::FirmwareLicenseRule &rule)
     rule.validate();
     const std::string key = "f:" + rule.describe();
     auto it = memo_.find(key);
-    if (it != memo_.end())
+    if (it != memo_.end()) {
+        obs::counterAdd("coevo.designer.memo_hits");
         return it->second;
+    }
 
     const double ref = referenceTtftS();
     BestResponse best;
@@ -328,10 +356,14 @@ ArmsRace::runThreshold(double budget)
     res.referenceTbtS = referenceTbtS();
 
     policy::ParamRule cur = policy::ParamRule::combined();
-    res.rounds.push_back({0, cur.describe(), "start",
-                          collateralDamage(cur), designerResponse(cur)});
+    {
+        const obs::TraceSpan span("coevo.round");
+        res.rounds.push_back({0, cur.describe(), "start",
+                              collateralDamage(cur), designerResponse(cur)});
+    }
 
     for (int round = 1; round <= cfg_.rounds; ++round) {
+        const obs::TraceSpan span("coevo.round");
         const auto cands = thresholdCandidates(cur, cfg_.tightenStep);
         std::size_t best_idx = 0;
         double best_col = collateralDamage(cands[0].rule);
@@ -353,9 +385,7 @@ ArmsRace::runThreshold(double budget)
         res.rounds.push_back({round, cur.describe(),
                               cands[best_idx].label, best_col, best_br});
     }
-    res.bestResponses = bestResponses_;
-    res.totalEvaluated = totalEvaluated_;
-    res.totalSpacePoints = totalSpacePoints_;
+    account(&res);
     return res;
 }
 
@@ -370,10 +400,14 @@ ArmsRace::runFirmware(double budget)
     res.referenceTbtS = referenceTbtS();
 
     policy::FirmwareLicenseRule cur;
-    res.rounds.push_back({0, cur.describe(), "start",
-                          collateralDamage(cur), designerResponse(cur)});
+    {
+        const obs::TraceSpan span("coevo.round");
+        res.rounds.push_back({0, cur.describe(), "start",
+                              collateralDamage(cur), designerResponse(cur)});
+    }
 
     for (int round = 1; round <= cfg_.rounds; ++round) {
+        const obs::TraceSpan span("coevo.round");
         const auto cands = firmwareCandidates(cur, cfg_.tightenStep);
         std::size_t best_idx = 0;
         double best_col = collateralDamage(cands[0].rule);
@@ -395,10 +429,19 @@ ArmsRace::runFirmware(double budget)
         res.rounds.push_back({round, cur.describe(),
                               cands[best_idx].label, best_col, best_br});
     }
-    res.bestResponses = bestResponses_;
-    res.totalEvaluated = totalEvaluated_;
-    res.totalSpacePoints = totalSpacePoints_;
+    account(&res);
     return res;
+}
+
+void
+ArmsRace::account(ArmsRaceResult *res) const
+{
+    res->bestResponses = bestResponses_;
+    res->totalEvaluated = totalEvaluated_;
+    res->totalSpacePoints = totalSpacePoints_;
+    res->totalTimed = 0;
+    for (const std::unique_ptr<SpaceSearch> &s : searches_)
+        res->totalTimed += s->search.timedPoints();
 }
 
 ArmsRaceResult

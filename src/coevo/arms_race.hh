@@ -10,7 +10,9 @@
  * Round structure:
  *   designer  maximizes compliant decode throughput over the escape
  *             portfolio (coevo/escape.hh) with dse::AdaptiveSearch as
- *             the inner evaluator;
+ *             the inner evaluator — one search object per distinct
+ *             escape space for the whole race, so a design is timed
+ *             once however many candidate rules re-classify it;
  *   regulator picks, among per-knob tightenings of the current rule
  *             (and "hold"), the one minimizing the designer's escaped
  *             performance subject to a collateral-damage budget on
@@ -159,13 +161,18 @@ struct ArmsRaceResult
     std::size_t bestResponses = 0;
     std::size_t totalEvaluated = 0;
     std::size_t totalSpacePoints = 0;
+    /** Distinct points the race's searches timed (the rest of
+     *  totalEvaluated re-classified stored timings). */
+    std::size_t totalTimed = 0;
 };
 
 /**
  * The race driver. Holds the workload-bound evaluator, the device
- * database, the unconstrained reference, and a best-response memo
- * keyed on rule parameters (the "hold" candidate and the fixed-point
- * tail replay from it at zero cost).
+ * database, the unconstrained reference, a best-response memo keyed on
+ * rule parameters (the "hold" candidate and the fixed-point tail
+ * replay from it at zero cost), and one dse::AdaptiveSearch per
+ * distinct escape space, whose point store lets every later rule skip
+ * the timing of points an earlier rule already visited.
  */
 class ArmsRace
 {
@@ -205,11 +212,24 @@ class ArmsRace
     const ArmsRaceConfig &config() const { return cfg_; }
 
   private:
+    /** A search with the space it holds a reference to. */
+    struct SpaceSearch
+    {
+        SpaceSearch(const dse::DesignEvaluator &evaluator,
+                    const dse::SweepSpace &s, dse::AdaptiveConfig cfg)
+            : space(s), search(evaluator, space, std::move(cfg))
+        {
+        }
+        dse::SweepSpace space;
+        dse::AdaptiveSearch search;
+    };
+
     dse::AdaptiveResult searchSpace(const dse::SweepSpace &space,
                                     const dse::DesignEvaluator::StreamPredicate
                                         &predicate);
     ArmsRaceResult runThreshold(double budget);
     ArmsRaceResult runFirmware(double budget);
+    void account(ArmsRaceResult *res) const;
 
     ArmsRaceConfig cfg_;
     devices::Database db_;
@@ -218,6 +238,8 @@ class ArmsRace
     double referenceTbtS_ = 0.0;
     bool haveReference_ = false;
     std::map<std::string, BestResponse> memo_;
+    /** One per distinct space (exact field equality), race lifetime. */
+    std::vector<std::unique_ptr<SpaceSearch>> searches_;
     std::size_t bestResponses_ = 0;
     std::size_t totalEvaluated_ = 0;
     std::size_t totalSpacePoints_ = 0;

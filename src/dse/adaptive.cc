@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
@@ -92,15 +91,74 @@ strictlyAscending(const std::vector<double> &v)
     return true;
 }
 
-std::uint32_t
-sampleFlags(const PointSample &s)
-{
-    return (s.kept ? POINT_KEPT : 0u) |
-           (s.underReticle ? POINT_UNDER_RETICLE : 0u) |
-           (s.oct2023Unregulated ? POINT_UNREGULATED : 0u);
-}
+/** AdaptiveSearch::visit_ bits: visited by this run, kept by it. */
+constexpr std::uint8_t VISITED = 1;
+constexpr std::uint8_t KEPT = 2;
 
 } // anonymous namespace
+
+std::size_t
+AdaptiveSearch::PointStore::slotOf(std::size_t index) const
+{
+    // Fibonacci hashing: plan indices are strided lattices, and the
+    // multiply spreads them over the high bits the shift keeps.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(index) * 0x9e3779b97f4a7c15ull) >>
+        shift_);
+}
+
+std::uint32_t
+AdaptiveSearch::PointStore::find(std::size_t index) const
+{
+    if (slots_.empty())
+        return NONE;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = slotOf(index);; s = (s + 1) & mask) {
+        const std::uint32_t v = slots_[s];
+        if (v == 0)
+            return NONE;
+        if (records_[v - 1].index == index)
+            return v - 1;
+    }
+}
+
+void
+AdaptiveSearch::PointStore::grow()
+{
+    const std::size_t cap = std::max<std::size_t>(64, slots_.size() * 2);
+    slots_.assign(cap, 0);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
+    const std::size_t mask = cap - 1;
+    for (std::size_t id = 0; id < records_.size(); ++id) {
+        std::size_t s = slotOf(records_[id].index);
+        while (slots_[s] != 0)
+            s = (s + 1) & mask;
+        slots_[s] = static_cast<std::uint32_t>(id + 1);
+    }
+}
+
+std::uint32_t
+AdaptiveSearch::PointStore::insert(std::size_t index, const PointSample &s)
+{
+    panicIf(index >> 62 != 0 || records_.size() >= NONE - 1,
+            "AdaptiveSearch: point store overflow");
+    // Load factor <= 1/2 keeps linear-probe chains short; records
+    // grow by 1.5x, not the vector's 2x, so that with the index a
+    // point costs at most ~53 bytes (about 43 on average).
+    if ((records_.size() + 1) * 2 > slots_.size())
+        grow();
+    if (records_.size() == records_.capacity())
+        records_.reserve(std::max<std::size_t>(64, records_.size() * 3 / 2));
+    const auto id = static_cast<std::uint32_t>(records_.size());
+    records_.push_back({s.ttftS, s.tbtS, index, s.underReticle,
+                        s.oct2023Unregulated});
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = slotOf(index);
+    while (slots_[slot] != 0)
+        slot = (slot + 1) & mask;
+    slots_[slot] = id + 1;
+    return id;
+}
 
 /** Per compute-class run bookkeeping: the run's base flat index
  *  (its dev=0 point) and its best metrics over evaluated kept
@@ -198,13 +256,21 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
                          strictlyAscending(space_.deviceBandwidths);
 
     // ---- Trajectory state -------------------------------------------
-    std::unordered_map<std::size_t, PointSample> cache;
-    std::unordered_set<std::size_t> visited; // run base indices
-    std::vector<RunState> runs;              // deterministic order
-    std::size_t new_evals = 0;               // evaluated by this call
+    // The store outlives the run; everything else here is the run's
+    // own, starting with its visited set over the store (visit_).
+    visit_.assign(store_.size(), 0);
+    std::vector<std::size_t> visited_bases; // sorted run base indices
+    std::vector<RunState> runs;             // deterministic order
+    std::size_t new_evals = 0;              // new to this run
     std::size_t since_ckpt = 0;
     std::size_t waves = 0;
     bool stopped = false;
+
+    const auto markVisit = [&](std::uint32_t id, bool kept) {
+        if (visit_.size() <= id)
+            visit_.resize(store_.size(), 0);
+        visit_[id] = VISITED | (kept ? KEPT : 0);
+    };
 
     // ---- Resume -----------------------------------------------------
     if (!cfg_.checkpointPath.empty()) {
@@ -220,7 +286,6 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
                         std::to_string(ck.shard.count) + ", not " +
                         std::to_string(cfg_.shard.index) + "/" +
                         std::to_string(cfg_.shard.count));
-            cache.reserve(ck.points.size());
             for (const CheckpointPoint &p : ck.points) {
                 PointSample s;
                 s.ttftS = p.ttftS;
@@ -229,7 +294,21 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
                 s.underReticle = (p.flags & POINT_UNDER_RETICLE) != 0;
                 s.oct2023Unregulated =
                     (p.flags & POINT_UNREGULATED) != 0;
-                cache.emplace(p.index, s);
+                std::uint32_t id = store_.find(p.index);
+                if (id == PointStore::NONE) {
+                    id = store_.insert(p.index, s);
+                } else if (id < visit_.size() && visit_[id]) {
+                    continue; // repeated index: the first one wins
+                } else {
+                    // The snapshot's values are what this run resumes
+                    // from, as a fresh object would.
+                    PointStore::Record &r = store_[id];
+                    r.ttftS = s.ttftS;
+                    r.tbtS = s.tbtS;
+                    r.underReticle = s.underReticle;
+                    r.oct2023Unregulated = s.oct2023Unregulated;
+                }
+                markVisit(id, s.kept);
             }
             inform("adaptive: resumed " +
                  std::to_string(ck.points.size()) + " points from " +
@@ -238,11 +317,23 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
     }
 
     // ---- Wave machinery ---------------------------------------------
+    // This run's visited points in index order: the checkpoint body
+    // and the source of every result field.
     const auto sortedPoints = [&]() {
         std::vector<CheckpointPoint> pts;
-        pts.reserve(cache.size());
-        for (const auto &[idx, s] : cache)
-            pts.push_back({idx, s.ttftS, s.tbtS, sampleFlags(s)});
+        pts.reserve(static_cast<std::size_t>(
+            std::count_if(visit_.begin(), visit_.end(),
+                          [](std::uint8_t v) { return v & VISITED; })));
+        for (std::uint32_t id = 0; id < visit_.size(); ++id) {
+            if (!(visit_[id] & VISITED))
+                continue;
+            const PointStore::Record &r = store_[id];
+            pts.push_back(
+                {r.index, r.ttftS, r.tbtS,
+                 ((visit_[id] & KEPT) ? POINT_KEPT : 0u) |
+                     (r.underReticle ? POINT_UNDER_RETICLE : 0u) |
+                     (r.oct2023Unregulated ? POINT_UNREGULATED : 0u)});
+        }
         std::sort(pts.begin(), pts.end(),
                   [](const CheckpointPoint &a, const CheckpointPoint &b) {
                       return a.index < b.index;
@@ -264,41 +355,72 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
         since_ckpt = 0;
     };
 
-    // Evaluate one wave of plan indices against the cache. Returns
-    // false when the evaluation budget is exhausted (wave-aligned
-    // stop: the wave is not evaluated at all, so a resumed run replays
-    // it whole).
+    // Evaluate one wave of plan indices against the run's visited
+    // set. Points new to the run split into fresh ones (timed by the
+    // perf kernels, then stored) and stored ones (only the predicate
+    // is re-applied); one evaluatePlanIndices pass handles both, and
+    // only this thread writes the store, between waves. Returns false
+    // when the evaluation budget is exhausted (wave-aligned stop: the
+    // wave is not evaluated at all, so a resumed run replays it
+    // whole).
+    DesignEvaluator::WaveScratch scratch; // kept across the run's waves
+    std::vector<std::size_t> wave_idx;    // fresh points, then stored
+    std::vector<std::uint32_t> hit_ids;   // store ids of the stored ones
+    std::vector<PointSample> wave_out;
     const auto evalWave = [&](std::vector<std::size_t> &idxs) {
         ++waves;
         std::sort(idxs.begin(), idxs.end());
         idxs.erase(std::unique(idxs.begin(), idxs.end()), idxs.end());
-        std::vector<std::size_t> misses;
-        misses.reserve(idxs.size());
+        wave_idx.clear();
+        hit_ids.clear();
         for (std::size_t idx : idxs) {
-            if (!cache.count(idx))
-                misses.push_back(idx);
+            const std::uint32_t id = store_.find(idx);
+            if (id == PointStore::NONE)
+                wave_idx.push_back(idx);
+            else if (!(visit_[id] & VISITED))
+                hit_ids.push_back(id);
         }
-        if (misses.empty())
+        const std::size_t fresh = wave_idx.size();
+        const std::size_t news = fresh + hit_ids.size();
+        if (news == 0)
             return true;
         if (cfg_.maxEvaluations != 0 &&
-            new_evals + misses.size() > cfg_.maxEvaluations) {
+            new_evals + news > cfg_.maxEvaluations) {
             stopped = true;
             return false;
         }
-        std::vector<PointSample> out(misses.size());
-        evaluator_.evaluatePlanIndices(plan_, misses.data(),
-                                       misses.size(), predicate,
-                                       out.data(), cfg_.threads);
-        for (std::size_t i = 0; i < misses.size(); ++i)
-            cache.emplace(misses[i], out[i]);
-        new_evals += misses.size();
-        since_ckpt += misses.size();
-        if (obs::enabled())
-            obs::counterAdd("dse.prune.points.evaluated", misses.size());
+        wave_out.resize(news);
+        for (std::size_t k = 0; k < hit_ids.size(); ++k) {
+            const PointStore::Record &r = store_[hit_ids[k]];
+            wave_idx.push_back(r.index);
+            wave_out[fresh + k] = {r.ttftS, r.tbtS, false,
+                                   static_cast<bool>(r.underReticle),
+                                   static_cast<bool>(r.oct2023Unregulated)};
+        }
+        evaluator_.evaluatePlanIndices(plan_, wave_idx.data(), news, fresh,
+                                       predicate, wave_out.data(),
+                                       cfg_.threads, scratch);
+        for (std::size_t i = 0; i < fresh; ++i)
+            markVisit(store_.insert(wave_idx[i], wave_out[i]),
+                      wave_out[i].kept);
+        for (std::size_t k = 0; k < hit_ids.size(); ++k)
+            markVisit(hit_ids[k], wave_out[fresh + k].kept);
+        new_evals += news;
+        since_ckpt += news;
+        if (obs::enabled()) {
+            obs::counterAdd("dse.prune.points.evaluated", news);
+            obs::counterAdd("dse.adaptive.points.timed", fresh);
+            obs::counterAdd("dse.adaptive.points.reused", news - fresh);
+        }
         if (cfg_.checkpointEveryPoints != 0 &&
             since_ckpt >= cfg_.checkpointEveryPoints)
             writeCkpt(false);
         return true;
+    };
+
+    // The store record of a point this run has visited.
+    const auto recordAt = [&](std::size_t idx) -> const PointStore::Record & {
+        return store_[store_.find(idx)];
     };
 
     // Evaluate the dev axis of each newly discovered run and append
@@ -325,9 +447,10 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
                 RunState r;
                 r.base = base;
                 for (std::size_t j = 0; j < n4; ++j) {
-                    const PointSample &s = cache.at(base + j);
-                    if (!s.kept)
+                    const std::uint32_t id = store_.find(base + j);
+                    if (!(visit_[id] & KEPT))
                         continue;
+                    const PointStore::Record &s = store_[id];
                     if (!r.hasKept) {
                         r.bestTtft = s.ttftS;
                         r.bestTbt = s.tbtS;
@@ -356,7 +479,7 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
         };
         std::vector<Bracket> st(bases.size());
         for (std::size_t i = 0; i < bases.size(); ++i) {
-            const PointSample &top = cache.at(bases[i] + n4 - 1);
+            const PointStore::Record &top = recordAt(bases[i] + n4 - 1);
             st[i] = {0, n4 - 1, 0, n4 - 1, top.ttftS, top.tbtS};
         }
         for (;;) {
@@ -377,14 +500,14 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
                 Bracket &b = st[i];
                 if (b.loT < b.hiT) {
                     const std::size_t mid = (b.loT + b.hiT) / 2;
-                    if (cache.at(bases[i] + mid).ttftS == b.bestT)
+                    if (recordAt(bases[i] + mid).ttftS == b.bestT)
                         b.hiT = mid;
                     else
                         b.loT = mid + 1;
                 }
                 if (b.loB < b.hiB) {
                     const std::size_t mid = (b.loB + b.hiB) / 2;
-                    if (cache.at(bases[i] + mid).tbtS == b.bestB)
+                    if (recordAt(bases[i] + mid).tbtS == b.bestB)
                         b.hiB = mid;
                     else
                         b.loB = mid + 1;
@@ -519,8 +642,8 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
             }
         }
     }
-    for (std::size_t base : pending)
-        visited.insert(base);
+    // Ascending by construction (o, i1, i2, i3 all ascend).
+    visited_bases = pending;
 
     // ---- Refinement loop --------------------------------------------
     while (!pending.empty()) {
@@ -575,11 +698,27 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
                     o, clampAxis(static_cast<long>(i1) + m[0], n1),
                     clampAxis(static_cast<long>(i2) + m[1], n2),
                     clampAxis(static_cast<long>(i3) + m[2], n3));
-                if (visited.insert(base).second)
-                    pending.push_back(base);
+                pending.push_back(base);
             }
         }
+        // New candidates only, ascending: drop repeats and runs this
+        // search already visited, then fold the rest into the set.
         std::sort(pending.begin(), pending.end());
+        pending.erase(std::unique(pending.begin(), pending.end()),
+                      pending.end());
+        pending.erase(std::remove_if(pending.begin(), pending.end(),
+                                     [&](std::size_t base) {
+                                         return std::binary_search(
+                                             visited_bases.begin(),
+                                             visited_bases.end(), base);
+                                     }),
+                      pending.end());
+        const std::size_t old_size = visited_bases.size();
+        visited_bases.insert(visited_bases.end(), pending.begin(),
+                             pending.end());
+        std::inplace_merge(visited_bases.begin(),
+                           visited_bases.begin() + old_size,
+                           visited_bases.end());
     }
 
     // ---- Final snapshot + result ------------------------------------

@@ -22,12 +22,19 @@
  *    exact point exhaustive first-wins argmin selection would pick.
  *
  * Evaluation happens in deterministic waves (batches of plan indices
- * handed to DesignEvaluator::evaluatePlanIndices) against a point
- * cache, which makes the search a replay machine: resuming from a
- * checkpoint (dse/checkpoint.hh) replays the same wave sequence with
- * cache hits for completed work and lands in a byte-identical final
+ * handed to DesignEvaluator::evaluatePlanIndices) against the run's
+ * visited set, which makes the search a replay machine: resuming from
+ * a checkpoint (dse/checkpoint.hh) replays the same wave sequence
+ * with hits for completed work and lands in a byte-identical final
  * state. Shards (contiguous outer-cell ranges) run independently and
  * merge deterministically.
+ *
+ * A search object is reusable across keep-predicates: it keeps a
+ * store of every point it has timed (TTFT, TBT and the two static
+ * compliance flags, none of which depend on the predicate), and a
+ * later run() re-applies its own predicate to stored points instead of
+ * timing them again. Each run's result is exactly what a fresh search
+ * object would return.
  */
 
 #ifndef ACS_DSE_ADAPTIVE_HH
@@ -37,7 +44,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dse/checkpoint.hh"
@@ -88,7 +94,8 @@ struct AdaptiveConfig
 
     /**
      * Stop (wave-aligned) once this many points have been evaluated
-     * by this call; 0 = unlimited. A stopped search writes an
+     * by this call (points new to the run, timed or taken from the
+     * store alike); 0 = unlimited. A stopped search writes an
      * incomplete checkpoint and returns complete=false — this is the
      * preemption path (and how the tests simulate kill/resume).
      */
@@ -169,7 +176,9 @@ struct AdaptiveResult
 /**
  * The adaptive engine. Thread-compatible inputs (evaluator and space
  * must outlive the search); run() itself is single-threaded at the
- * orchestration level and parallelizes inside evaluation waves.
+ * orchestration level and parallelizes inside evaluation waves. One
+ * object may run() many times, under different predicates; see the
+ * file comment.
  */
 class AdaptiveSearch
 {
@@ -186,12 +195,22 @@ class AdaptiveSearch
      * Run the search (resuming from cfg.checkpointPath when the file
      * exists — fatal if its fingerprint does not match this search).
      *
+     * Points an earlier run() of this object timed are not timed
+     * again: the wave re-applies @p predicate to their stored
+     * latencies. Everything the result reports (counts, waves,
+     * frontier, argmins) and the checkpoint contents come from this
+     * run's own visited set, so they equal a fresh object's run.
+     *
      * @param predicate Keep-filter, as in evaluateStream. Installing
      *                  one disables COMM_ONLY bracketing (full dev
      *                  scans) — exactness over the kept set needs it.
      */
     AdaptiveResult
     run(const DesignEvaluator::StreamPredicate &predicate = nullptr);
+
+    /** Distinct points timed by the perf kernels over this object's
+     *  lifetime (the store's size; checkpoint-resumed points count). */
+    std::size_t timedPoints() const { return store_.size(); }
 
     /**
      * Fingerprint of everything the search trajectory depends on:
@@ -210,13 +229,57 @@ class AdaptiveSearch
     const SweepPlan &plan() const { return plan_; }
 
   private:
-    struct RunState;    // per compute-class run bookkeeping
-    struct SearchState; // full trajectory state (adaptive.cc)
+    struct RunState; // per compute-class run bookkeeping
+
+    /**
+     * The timed points: an append-only record vector in timing order
+     * plus an open-addressed index (linear probing over a power-of-two
+     * table of record ids), so a point costs no heap node — a 24-byte
+     * record and 8-16 bytes of index.
+     */
+    class PointStore
+    {
+      public:
+        static constexpr std::uint32_t NONE = 0xffffffffu;
+
+        struct Record
+        {
+            double ttftS;
+            double tbtS;
+            std::uint64_t index : 62; //!< flat plan index
+            std::uint64_t underReticle : 1;
+            std::uint64_t oct2023Unregulated : 1;
+        };
+
+        /** Record id of plan index @p index, or NONE. */
+        std::uint32_t find(std::size_t index) const;
+
+        /** Append a record for an index not yet stored; its id. */
+        std::uint32_t insert(std::size_t index, const PointSample &s);
+
+        Record &operator[](std::uint32_t id) { return records_[id]; }
+        const Record &operator[](std::uint32_t id) const
+        {
+            return records_[id];
+        }
+        std::size_t size() const { return records_.size(); }
+
+      private:
+        std::size_t slotOf(std::size_t index) const;
+        void grow();
+
+        std::vector<Record> records_;
+        std::vector<std::uint32_t> slots_; //!< record id + 1; 0 = empty
+        unsigned shift_ = 64;              //!< 64 - log2(slots_.size())
+    };
 
     const DesignEvaluator &evaluator_;
     const SweepSpace &space_;
     AdaptiveConfig cfg_;
     SweepPlan plan_;
+    PointStore store_;
+    /** Per record: this run's visit (VISITED) and verdict (KEPT) bits. */
+    std::vector<std::uint8_t> visit_;
 };
 
 /**

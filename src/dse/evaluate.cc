@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -24,30 +25,30 @@ namespace {
  * Sweep-scoped GEMM-cache hoist: a params copy for one batch call,
  * with a batch-lifetime perf::GemmCache installed when the base
  * params run a simulating GEMM mode (TILE_SIM or CYCLE_SIM), allow
- * caching, and carry no caller-installed
- * handle. In every other case `params` is a plain copy and the unused
- * cache costs only its (empty) shard array. Results are bit-identical
- * with or without the hoist; only the sweep's cost changes.
+ * caching, and carry no caller-installed handle. In every other case
+ * `params` is a plain copy and no cache is built. Results are
+ * bit-identical with or without the hoist; only the sweep's cost
+ * changes.
  */
 struct SweepCacheScope
 {
-    perf::GemmCache cache;
+    std::optional<perf::GemmCache> cache; //!< built only when installed
     perf::PerfParams params;
 
     explicit SweepCacheScope(const perf::PerfParams &base) : params(base)
     {
         if (params.gemmMode != perf::GemmMode::ANALYTIC &&
             params.cacheTileSimGemms && !params.gemmCache) {
-            params.gemmCache = &cache;
+            params.gemmCache = &cache.emplace();
         }
     }
 
     /** Report hit/miss totals to obs (call once, after the batch). */
     void report() const
     {
-        if (!obs::enabled() || params.gemmCache != &cache)
+        if (!obs::enabled() || !cache)
             return;
-        const perf::GemmCache::Stats stats = cache.stats();
+        const perf::GemmCache::Stats stats = cache->stats();
         obs::counterAdd("dse.gemm_cache.hits", stats.hits);
         obs::counterAdd("dse.gemm_cache.misses", stats.misses);
         obs::counterAdd("dse.gemm_cache.entries", stats.entries);
@@ -448,6 +449,9 @@ DesignEvaluator::evaluateStream(const SweepSpace &space,
     return out;
 }
 
+DesignEvaluator::WaveScratch::WaveScratch() = default;
+DesignEvaluator::WaveScratch::~WaveScratch() = default;
+
 void
 DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
                                      const std::size_t *indices,
@@ -456,6 +460,20 @@ DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
                                      PointSample *out,
                                      unsigned threads) const
 {
+    WaveScratch scratch;
+    evaluatePlanIndices(plan, indices, count, count, predicate, out,
+                        threads, scratch);
+}
+
+void
+DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
+                                     const std::size_t *indices,
+                                     std::size_t count, std::size_t fresh,
+                                     const StreamPredicate &predicate,
+                                     PointSample *out, unsigned threads,
+                                     WaveScratch &scratch) const
+{
+    panicIf(fresh > count, "evaluatePlanIndices: fresh > count");
     if (count == 0)
         return;
     common::ThreadPool &pool = common::ThreadPool::shared();
@@ -464,41 +482,87 @@ DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
     threads = std::min<unsigned>(threads, count);
     threads = std::max(threads, 1u);
 
-    obs::counterAdd("dse.designs.evaluated", count);
+    obs::counterAdd("dse.designs.evaluated", fresh);
+
+    if (scratch.owner_ != this) {
+        scratch.workers_.clear();
+        scratch.owner_ = this;
+    }
+    if (scratch.workers_.size() < threads)
+        scratch.workers_.resize(threads);
 
     // Same scaffolding as evaluateStream, but positions map through
     // the caller's index array and results land in out[pos] — each
     // slot written by exactly one worker, so no reduction is needed
-    // and the output is scheduling-independent.
-    SweepCacheScope scope(params_);
-    std::atomic<std::size_t> next{0};
-    const std::size_t chunk = std::clamp<std::size_t>(
-        count / (static_cast<std::size_t>(threads) * 4), 1, 64);
+    // and the output is scheduling-independent. Task t owns
+    // scratch.workers_[t]. The lambdas capture at most two words, so
+    // neither std::function allocates.
+    struct Wave
+    {
+        const SweepPlan &plan;
+        const std::size_t *indices;
+        std::size_t count;
+        std::size_t fresh;
+        std::size_t chunk;
+        const StreamPredicate &predicate;
+        PointSample *out;
+        WaveScratch &scratch;
+        SweepCacheScope scope;
+        std::atomic<std::size_t> next{0};
+    };
+    Wave wave{plan,
+              indices,
+              count,
+              fresh,
+              std::clamp<std::size_t>(
+                  count / (static_cast<std::size_t>(threads) * 4), 1, 64),
+              predicate,
+              out,
+              scratch,
+              SweepCacheScope(params_)};
     pool.parallelFor(
         threads,
-        [&](std::size_t) {
-            ChunkScratch scratch;
-            const ChunkSink sink = [&](const EvaluatedDesign &d,
-                                       std::size_t, std::size_t pos) {
-                PointSample &s = out[pos];
+        [this, &wave](std::size_t task) {
+            ChunkScratch &cs = wave.scratch.workers_[task];
+            const ChunkSink sink = [&wave](const EvaluatedDesign &d,
+                                           std::size_t, std::size_t pos) {
+                PointSample &s = wave.out[pos];
                 s.ttftS = d.ttftS;
                 s.tbtS = d.tbtS;
-                s.kept = !predicate || predicate(d);
+                s.kept = !wave.predicate || wave.predicate(d);
                 s.underReticle = d.underReticle;
                 s.oct2023Unregulated = d.oct2023Unregulated();
                 obs::counterAdd("dse.worker.designs");
             };
             for (;;) {
-                const std::size_t start = next.fetch_add(chunk);
-                if (start >= count)
+                const std::size_t start = wave.next.fetch_add(wave.chunk);
+                if (start >= wave.count)
                     break;
-                const std::size_t end = std::min(start + chunk, count);
-                evaluateChunk(plan, start, end - start, indices,
-                              scope.params, scratch, sink);
+                const std::size_t end =
+                    std::min(start + wave.chunk, wave.count);
+                // Positions before `fresh` are timed; the rest carry
+                // stored latencies and only need the predicate.
+                const std::size_t split = std::clamp(wave.fresh, start, end);
+                if (split > start) {
+                    evaluateChunk(wave.plan, start, split - start,
+                                  wave.indices, wave.scope.params, cs, sink);
+                }
+                for (std::size_t pos = split; pos < end; ++pos) {
+                    PointSample &s = wave.out[pos];
+                    if (!wave.predicate) {
+                        s.kept = true;
+                        continue;
+                    }
+                    wave.plan.point(wave.indices[pos], &cs.cfg);
+                    fillStaticFields(cs.cfg, &cs.design);
+                    cs.design.ttftS = s.ttftS;
+                    cs.design.tbtS = s.tbtS;
+                    s.kept = wave.predicate(cs.design);
+                }
             }
         },
         1);
-    scope.report();
+    wave.scope.report();
 }
 
 std::vector<EvaluatedDesign>

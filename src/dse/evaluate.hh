@@ -210,6 +210,8 @@ class DesignEvaluator
                    const StreamVisitor &visitor = nullptr,
                    unsigned threads = 0) const;
 
+    class WaveScratch; // per-worker buffers reused across waves
+
     /**
      * Evaluate an explicit set of plan indices in parallel, writing a
      * PointSample per position: out[pos] describes plan point
@@ -220,8 +222,9 @@ class DesignEvaluator
      * Shares the streaming pipeline's machinery: designs build via
      * plan.point into per-worker scratch, ANALYTIC-mode designs
      * evaluate through the batch kernel (perf/batch_eval.hh),
-     * simulated-GEMM designs get a call-scoped GemmCache hoist. Deterministic: out[pos] depends
-     * only on indices[pos], never on scheduling.
+     * simulated-GEMM designs get a call-scoped GemmCache hoist.
+     * Deterministic: out[pos] depends only on indices[pos], never on
+     * scheduling.
      *
      * @param plan      Compiled space (must outlive the call).
      * @param indices   Plan indices to evaluate (any order; repeats
@@ -237,6 +240,31 @@ class DesignEvaluator
                              const StreamPredicate &predicate,
                              PointSample *out,
                              unsigned threads = 0) const;
+
+    /**
+     * The wave entry point behind the overload above, for callers
+     * that already timed some of the points (AdaptiveSearch's point
+     * store).
+     *
+     * Positions [0, fresh) are timed by the perf kernels as above.
+     * Positions [fresh, count) are pre-timed: out[pos] arrives
+     * holding the point's ttftS, tbtS, underReticle and
+     * oct2023Unregulated, and only kept is recomputed — the design is
+     * rebuilt with plan.point and its static fields (area, cost, TPP)
+     * and handed to the predicate with the stored latencies, which
+     * yields the verdict the timed path would. Both kinds share one
+     * parallel pass.
+     *
+     * @param fresh   Leading positions to time (<= count).
+     * @param scratch Per-worker buffers; reusing one across calls
+     *                keeps waves after the first off the allocator.
+     */
+    void evaluatePlanIndices(const SweepPlan &plan,
+                             const std::size_t *indices,
+                             std::size_t count, std::size_t fresh,
+                             const StreamPredicate &predicate,
+                             PointSample *out, unsigned threads,
+                             WaveScratch &scratch) const;
 
     /** The prebuilt per-layer graphs (hardware independent). */
     const model::LayerGraph &prefillGraph() const { return prefill_; }
@@ -292,6 +320,29 @@ class DesignEvaluator
     area::CostModel costModel_;
     model::LayerGraph prefill_; //!< built once; shared by all designs
     model::LayerGraph decode_;
+};
+
+/**
+ * Buffers of DesignEvaluator::evaluatePlanIndices, one set per worker
+ * (configs with their name buffers, the batch view, the batch
+ * evaluator and its op memo). Building them costs about 160
+ * allocations; a caller that runs many waves keeps one WaveScratch
+ * and pays that once. Bound to the evaluator that last used it;
+ * handing it to another evaluator resets it. Not thread-safe: one
+ * call at a time.
+ */
+class DesignEvaluator::WaveScratch
+{
+  public:
+    WaveScratch();
+    ~WaveScratch();
+    WaveScratch(const WaveScratch &) = delete;
+    WaveScratch &operator=(const WaveScratch &) = delete;
+
+  private:
+    friend class DesignEvaluator;
+    const DesignEvaluator *owner_ = nullptr;
+    std::vector<ChunkScratch> workers_;
 };
 
 /** Keep only designs with area at or under the reticle limit. */

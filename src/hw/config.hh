@@ -102,6 +102,9 @@ struct HardwareConfig
      * the DSE validates every sweep point it builds.
      */
     void validate() const;
+
+    /** Field-wise equality (the name included). */
+    bool operator==(const HardwareConfig &) const = default;
 };
 
 /**

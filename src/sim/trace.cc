@@ -4,10 +4,12 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
-#include <sstream>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace acs {
 namespace sim {
@@ -177,14 +179,15 @@ class DiurnalTrace final : public TraceWorkload
     double nextToggleS_ = 0.0;
 };
 
-/** Round @p len up to a positive multiple of @p quantum. */
-int
+/** Round @p len up to a positive multiple of @p quantum (wide: the
+ *  result can pass INT_MAX). */
+long long
 quantizeLen(int len, int quantum)
 {
     if (len < 1)
         len = 1;
     const int rem = len % quantum;
-    return rem == 0 ? len : len + (quantum - rem);
+    return rem == 0 ? len : static_cast<long long>(len) + (quantum - rem);
 }
 
 /** Streaming CSV replay: one row parsed per produce() call. */
@@ -206,43 +209,79 @@ class CsvTrace final : public TraceWorkload
     bool
     produce(TraceRequest &out) override
     {
-        std::string line;
-        while (std::getline(*in_, line)) {
+        while (std::getline(*in_, line_)) {
             ++lineNo_;
             // Skip blank lines and a leading header row.
-            if (line.empty() ||
-                line.find_first_not_of(" \t\r") == std::string::npos)
+            if (line_.empty() ||
+                line_.find_first_not_of(" \t\r") == std::string::npos)
                 continue;
             if (lineNo_ == 1 &&
-                line.find_first_not_of("0123456789.,eE+- \t\r") !=
+                line_.find_first_not_of("0123456789.,eE+- \t\r") !=
                     std::string::npos)
                 continue;
-            std::istringstream row(line);
-            double arrival = 0.0;
-            long prompt = 0;
-            long output = 0;
-            char c1 = 0;
-            char c2 = 0;
-            row >> arrival >> c1 >> prompt >> c2 >> output;
-            fatalIf(row.fail() || c1 != ',' || c2 != ',',
-                    "TraceWorkload: malformed row " +
-                        std::to_string(lineNo_) + " in '" + label_ +
-                        "': expected arrival_s,prompt_len,output_len");
-            out.arrivalS = arrival;
-            out.promptLen =
-                quantizeLen(static_cast<int>(prompt), quantum_);
-            out.outputLen =
-                quantizeLen(static_cast<int>(output), quantum_);
+            // Exactly three comma-separated fields, each trimmed of
+            // spaces, tabs and '\r' and parsed whole.
+            std::string_view fields[3];
+            std::string_view rest = line_;
+            std::size_t n = 0;
+            for (;;) {
+                const std::size_t comma = rest.find(',');
+                if (n == 3)
+                    malformed("expected 3 fields "
+                              "arrival_s,prompt_len,output_len, got more");
+                fields[n++] = trim(rest.substr(0, comma));
+                if (comma == std::string_view::npos)
+                    break;
+                rest.remove_prefix(comma + 1);
+            }
+            if (n != 3)
+                malformed("expected 3 fields "
+                          "arrival_s,prompt_len,output_len, got " +
+                          std::to_string(n));
+            const auto length = [this](std::string_view f, const char *what) {
+                const long long len =
+                    quantizeLen(parseNumber<int>(f, what), quantum_);
+                if (len > std::numeric_limits<int>::max())
+                    fatal(std::string(what) + ": '" + std::string(f) +
+                          "' is out of range once rounded up to the "
+                          "length quantum");
+                return static_cast<int>(len);
+            };
+            try {
+                out.arrivalS = parseNumber<double>(fields[0], "arrival_s");
+                out.promptLen = length(fields[1], "prompt_len");
+                out.outputLen = length(fields[2], "output_len");
+            } catch (const FatalError &e) {
+                malformed(e.what());
+            }
             return true;
         }
         return false;
     }
 
   private:
+    static std::string_view
+    trim(std::string_view f)
+    {
+        const std::size_t b = f.find_first_not_of(" \t\r");
+        if (b == std::string_view::npos)
+            return {};
+        return f.substr(b, f.find_last_not_of(" \t\r") - b + 1);
+    }
+
+    /** The row error, naming file and line (formatted only here). */
+    [[noreturn]] void
+    malformed(const std::string &why) const
+    {
+        fatal("TraceWorkload: malformed row " + std::to_string(lineNo_) +
+              " in '" + label_ + "': " + why);
+    }
+
     std::unique_ptr<std::istream> in_;
     std::string label_;
     int quantum_;
     std::uint64_t lineNo_ = 0;
+    std::string line_; //!< row buffer, reused across rows
 };
 
 /** In-memory replay of a pre-built schedule. */

@@ -13,6 +13,9 @@
  *    to an uninterrupted run's.
  *  - Shard merge: independent shard runs merge deterministically and
  *    recover the global argmin.
+ *  - Reuse: one search object run under a sequence of predicates
+ *    returns, run for run, what fresh objects return, and never times
+ *    a point twice.
  */
 
 #include <gtest/gtest.h>
@@ -149,6 +152,162 @@ TEST(AdaptiveSearch, MatchesExhaustiveOnRandomizedSpaces)
         // property under test here, not the pruning ratio.
         expectMatchesExhaustive(space, cheapWorkload(4), 1.0);
     }
+}
+
+// ---- reuse across predicates -----------------------------------------------
+
+/** Every AdaptiveResult field, exactly. */
+void
+expectSameResult(const AdaptiveResult &a, const AdaptiveResult &b)
+{
+    EXPECT_EQ(a.spacePoints, b.spacePoints);
+    EXPECT_EQ(a.shardPoints, b.shardPoints);
+    EXPECT_EQ(a.evaluated, b.evaluated);
+    EXPECT_EQ(a.kept, b.kept);
+    EXPECT_EQ(a.underReticle, b.underReticle);
+    EXPECT_EQ(a.oct2023Unregulated, b.oct2023Unregulated);
+    EXPECT_EQ(a.fractionEvaluated, b.fractionEvaluated);
+    EXPECT_EQ(a.bestTtftIndex, b.bestTtftIndex);
+    EXPECT_EQ(a.bestTbtIndex, b.bestTbtIndex);
+    EXPECT_EQ(a.complete, b.complete);
+    EXPECT_EQ(a.waves, b.waves);
+    for (const auto &[x, y] : {std::pair(&a.bestTtft, &b.bestTtft),
+                               std::pair(&a.bestTbt, &b.bestTbt)}) {
+        ASSERT_EQ(x->has_value(), y->has_value());
+        if (!x->has_value())
+            continue;
+        const EvaluatedDesign &dx = **x, &dy = **y;
+        EXPECT_EQ(dx.config, dy.config);
+        EXPECT_EQ(dx.tpp, dy.tpp);
+        EXPECT_EQ(dx.dieAreaMm2, dy.dieAreaMm2);
+        EXPECT_EQ(dx.perfDensity, dy.perfDensity);
+        EXPECT_EQ(dx.dieCostUsd, dy.dieCostUsd);
+        EXPECT_EQ(dx.goodDieCostUsd, dy.goodDieCostUsd);
+        EXPECT_EQ(dx.ttftS, dy.ttftS);
+        EXPECT_EQ(dx.tbtS, dy.tbtS);
+        EXPECT_EQ(dx.underReticle, dy.underReticle);
+    }
+    ASSERT_EQ(a.frontier.size(), b.frontier.size());
+    for (std::size_t i = 0; i < a.frontier.size(); ++i) {
+        EXPECT_EQ(a.frontier[i].index, b.frontier[i].index);
+        EXPECT_EQ(a.frontier[i].ttftS, b.frontier[i].ttftS);
+        EXPECT_EQ(a.frontier[i].tbtS, b.frontier[i].tbtS);
+    }
+}
+
+/**
+ * Run @p preds in order on one AdaptiveSearch and each on a fresh
+ * object with the same config: results and final checkpoint bytes
+ * must match run for run. Returns the reused object's results;
+ * @p timed receives its timedPoints() after each run.
+ */
+std::vector<AdaptiveResult>
+expectReuseMatchesFresh(
+    const DesignEvaluator &evaluator, const SweepSpace &space,
+    AdaptiveConfig cfg,
+    const std::vector<DesignEvaluator::StreamPredicate> &preds,
+    std::vector<std::size_t> *timed)
+{
+    const std::string path =
+        testing::TempDir() + "acs-adaptive-reuse.ckpt";
+    cfg.checkpointPath = path;
+    AdaptiveSearch reused(evaluator, space, cfg);
+    std::vector<AdaptiveResult> out;
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+        SCOPED_TRACE("run " + std::to_string(k));
+        // Each run starts from no snapshot, so both objects search
+        // from scratch and their final snapshots are comparable.
+        std::remove(path.c_str());
+        out.push_back(reused.run(preds[k]));
+        timed->push_back(reused.timedPoints());
+        const std::string reused_bytes = slurp(path);
+        std::remove(path.c_str());
+        const AdaptiveResult fresh =
+            AdaptiveSearch(evaluator, space, cfg).run(preds[k]);
+        expectSameResult(out.back(), fresh);
+        EXPECT_EQ(reused_bytes, slurp(path));
+    }
+    std::remove(path.c_str());
+    return out;
+}
+
+TEST(AdaptiveReuse, PredicateSequenceMatchesFreshObjects)
+{
+    const SweepSpace space = table3Space(
+        4800.0, {400.0 * units::GBPS, 600.0 * units::GBPS});
+    const core::Workload w = cheapWorkload(4);
+    const DesignEvaluator evaluator(w.model, w.setting, w.system);
+
+    const DesignEvaluator::StreamPredicate p1 =
+        [](const EvaluatedDesign &d) { return d.underReticle; };
+    // A latency-dependent predicate: stored points must reach it with
+    // their stored TTFT. The cut excludes P1's best design, so P2's
+    // trajectory differs from P1's.
+    AdaptiveConfig cfg;
+    cfg.threads = 7;
+    const AdaptiveResult first = AdaptiveSearch(evaluator, space, cfg).run(p1);
+    ASSERT_TRUE(first.bestTtft.has_value());
+    const double cut = first.bestTtft->ttftS;
+    const DesignEvaluator::StreamPredicate p2 =
+        [cut](const EvaluatedDesign &d) {
+            return d.ttftS > cut && d.oct2023Unregulated();
+        };
+
+    const std::vector<DesignEvaluator::StreamPredicate> seq = {
+        p1, p2, p1, nullptr, p2};
+    std::vector<std::size_t> timed;
+    const std::vector<AdaptiveResult> runs =
+        expectReuseMatchesFresh(evaluator, space, cfg, seq, &timed);
+    ASSERT_EQ(runs.size(), seq.size());
+    EXPECT_NE(runs[0].bestTtftIndex, runs[1].bestTtftIndex);
+    for (const AdaptiveResult &r : runs)
+        EXPECT_TRUE(r.complete);
+    // The first run times all it visits; repeating a predicate times
+    // nothing new, and the store never exceeds the points visited.
+    EXPECT_EQ(timed[0], runs[0].evaluated);
+    EXPECT_EQ(timed[2], timed[1]);
+    EXPECT_EQ(timed[4], timed[3]);
+    EXPECT_LT(timed[4], runs[0].evaluated + runs[1].evaluated +
+                            runs[3].evaluated);
+
+    // The same sequence under a budget that stops the P2 runs: a
+    // reused object stops at the same wave as a fresh one, because
+    // the budget counts points new to the run, not to the store.
+    AdaptiveConfig budget = cfg;
+    budget.maxEvaluations = runs[1].evaluated - 1;
+    timed.clear();
+    const std::vector<AdaptiveResult> stopped =
+        expectReuseMatchesFresh(evaluator, space, budget, seq, &timed);
+    EXPECT_FALSE(stopped[1].complete);
+    EXPECT_FALSE(stopped.back().complete);
+}
+
+TEST(AdaptiveReuse, CoveredSpaceTimesNothingTwice)
+{
+    // Two values per inner axis: the coarse lattice is the whole
+    // space, so the first run covers every point.
+    SweepSpace space = table3Space(4800.0, {400.0 * units::GBPS,
+                                            600.0 * units::GBPS});
+    space.l1BytesPerCore.resize(2);
+    space.l2Bytes.resize(2);
+    space.memBandwidths.resize(2);
+    const core::Workload w = cheapWorkload(4);
+    const DesignEvaluator evaluator(w.model, w.setting, w.system);
+    AdaptiveConfig cfg;
+    cfg.threads = 7;
+    AdaptiveSearch search(evaluator, space, cfg);
+
+    const AdaptiveResult all = search.run();
+    EXPECT_EQ(all.evaluated, all.shardPoints);
+    EXPECT_EQ(search.timedPoints(), all.evaluated);
+    const AdaptiveResult kept = search.run(
+        [](const EvaluatedDesign &d) { return d.oct2023Unregulated(); });
+    EXPECT_EQ(search.timedPoints(), all.evaluated); // nothing re-timed
+    expectSameResult(kept,
+                     AdaptiveSearch(evaluator, space, cfg)
+                         .run([](const EvaluatedDesign &d) {
+                             return d.oct2023Unregulated();
+                         }));
 }
 
 // ---- checkpoint/resume -----------------------------------------------------

@@ -8,7 +8,9 @@
  * same entry point at two sizes and asserts that the allocation count
  * grows by less than one per 64 designs: per-call set-up (worker
  * scratch, plan fragments, pool batch) may allocate, the designs
- * themselves may not.
+ * themselves may not. A caller that keeps its worker scratch across
+ * calls (an adaptive search's waves) must not pay even the per-call
+ * set-up again.
  */
 
 #include <gtest/gtest.h>
@@ -159,6 +161,40 @@ TEST(AllocFree, EvaluatePlanIndicesDoesNotAllocatePerDesign)
     const std::size_t small = run(512);
     const std::size_t large = run(4096);
     expectAllocationFree(small, large, 512, 4096);
+}
+
+TEST(AllocFree, ReusedWaveScratchDoesNotAllocatePerWave)
+{
+    // An adaptive search's waves: scattered index windows evaluated
+    // one call at a time against the scratch the search keeps. The
+    // first wave builds the worker buffers; the later ones together
+    // must allocate less than once per wave.
+    const DesignEvaluator evaluator = gpt3Evaluator();
+    const SweepSpace space = fineSpace();
+    const SweepPlan plan(space);
+    constexpr std::size_t kWaves = 8;
+    constexpr std::size_t kWaveSize = 96;
+    std::vector<std::size_t> indices;
+    for (std::size_t w = 0; w < kWaves; ++w) {
+        for (std::size_t i = 0; i < kWaveSize; ++i)
+            indices.push_back(plan.innerBlockSize() * (2 + w) + 500 +
+                              13 * i);
+    }
+    std::vector<PointSample> out(kWaveSize);
+    DesignEvaluator::WaveScratch scratch;
+    const auto wave = [&](std::size_t w) {
+        evaluator.evaluatePlanIndices(plan, indices.data() + w * kWaveSize,
+                                      kWaveSize, kWaveSize, nullptr,
+                                      out.data(), 1, scratch);
+    };
+    wave(0);
+    const std::size_t later = allocationsDuring([&] {
+        for (std::size_t w = 1; w < kWaves; ++w)
+            wave(w);
+    });
+    ::testing::Test::RecordProperty("later_wave_allocations", later);
+    EXPECT_LT(later, kWaves - 1)
+        << later << " allocations over waves 2.." << kWaves;
 }
 
 TEST(AllocFree, EvaluateStreamDoesNotAllocatePerDesign)

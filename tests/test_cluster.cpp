@@ -159,6 +159,66 @@ TEST(Trace, CsvMalformedRowIsFatal)
     EXPECT_THROW(trace->next(r), FatalError);
 }
 
+TEST(Trace, CsvTrimsFieldWhitespace)
+{
+    auto trace = TraceWorkload::fromCsv(
+        std::make_unique<std::istringstream>(" 0.5 ,\t32 , 16\r\n"),
+        "inline", 16);
+    TraceRequest r;
+    ASSERT_TRUE(trace->next(r));
+    EXPECT_EQ(r.arrivalS, 0.5);
+    EXPECT_EQ(r.promptLen, 32);
+    EXPECT_EQ(r.outputLen, 16);
+    EXPECT_FALSE(trace->next(r));
+}
+
+/** The FatalError message of reading @p text's second row. */
+std::string
+secondRowError(const std::string &text)
+{
+    auto trace = TraceWorkload::fromCsv(
+        std::make_unique<std::istringstream>("0.0,16,4\n" + text),
+        "rows.csv");
+    TraceRequest r;
+    EXPECT_TRUE(trace->next(r));
+    try {
+        trace->next(r);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "accepted: " << text;
+    return "";
+}
+
+TEST(Trace, CsvRejectsTrailingTextAndExtraFields)
+{
+    for (const char *row : {"0.2,512,64 trailing", "0.2,512,64,9",
+                            "0.2,512", "0.2,512x,64", "0.2,,64",
+                            "nan,512,64"}) {
+        SCOPED_TRACE(row);
+        const std::string err = secondRowError(row);
+        EXPECT_NE(err.find("malformed row 2 in 'rows.csv'"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(Trace, CsvRejectsLengthsOutsideInt)
+{
+    // 4294967809 = 2^32 + 513: a narrowing cast would replay it as a
+    // 513-token prompt.
+    const std::string err = secondRowError("0.2,4294967809,64");
+    EXPECT_NE(err.find("prompt_len: '4294967809' is out of range"),
+              std::string::npos)
+        << err;
+    // INT_MAX parses, but rounding it up to the quantum would not fit.
+    const std::string rounded = secondRowError("0.2,16,2147483647");
+    EXPECT_NE(rounded.find("output_len: '2147483647' is out of range "
+                           "once rounded up"),
+              std::string::npos)
+        << rounded;
+}
+
 TEST(Trace, DiurnalIsSeedDeterministicAndOrdered)
 {
     DiurnalTraceSpec spec;

@@ -5,8 +5,9 @@
  * device catalogue), input validation, the shared escape-space
  * enumerations, and the arms-race engine's structural contracts —
  * monotone trajectories, thread-count-independent fingerprints,
- * re-run reproducibility, and AdaptiveSearch (not exhaustive sweep)
- * as the designer's inner loop.
+ * re-run reproducibility, pinned default-race fingerprints, and
+ * AdaptiveSearch (not exhaustive sweep) as the designer's inner loop,
+ * one search per escape space per race.
  */
 
 #include <gtest/gtest.h>
@@ -312,6 +313,31 @@ TEST(ArmsRaceTest, FingerprintIndependentOfThreadCount)
     const coevo::ArmsRaceResult b = seven.run();
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     EXPECT_EQ(a.roundsToFixedPoint, b.roundsToFixedPoint);
+}
+
+TEST(ArmsRaceTest, DefaultRaceFingerprintsArePinned)
+{
+    // The default-config races (8 rounds, budget 0.10): the values the
+    // end-to-end benchmark's golden file holds for both mechanisms.
+    // The per-space searches reuse their stored timings across
+    // candidate rules, which must not move a single bit.
+    // Seven-wide waves: stored points are re-classified inside the
+    // evaluation workers (the thread-sanitizer job runs this test).
+    coevo::ArmsRaceConfig cfg;
+    cfg.threads = 7;
+    cfg.mechanism = coevo::Mechanism::THRESHOLD;
+    const coevo::ArmsRaceResult threshold = coevo::ArmsRace(cfg).run();
+    EXPECT_EQ(threshold.fingerprint(), 0xfde8fade46b80d9dull);
+    cfg.mechanism = coevo::Mechanism::FIRMWARE;
+    const coevo::ArmsRaceResult firmware = coevo::ArmsRace(cfg).run();
+    EXPECT_EQ(firmware.fingerprint(), 0x1871ac391fb52622ull);
+
+    // Most visits re-classify a point the race already timed.
+    for (const coevo::ArmsRaceResult *res : {&threshold, &firmware}) {
+        EXPECT_GT(res->totalTimed, 0u);
+        EXPECT_LT(res->totalTimed * 3, res->totalEvaluated)
+            << res->totalTimed << " timed of " << res->totalEvaluated;
+    }
 }
 
 TEST(ArmsRaceTest, RerunReproducesTheSameFixedPoint)
